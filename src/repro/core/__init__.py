@@ -9,7 +9,6 @@ from .config import (
 )
 from .ifop import InFlightOp
 from .lockstep import run_lockstep
-from .optable import OpTable
 from .pipeline import DeadlockError, Pipeline, SimulationDeadlock, simulate
 from .ports import PORT_MAPS_BY_WIDTH, PortFile
 from .regready import ReadyFile
@@ -30,7 +29,6 @@ __all__ = [
     "SchedulerParams",
     "config_for",
     "InFlightOp",
-    "OpTable",
     "run_lockstep",
     "DeadlockError",
     "Pipeline",

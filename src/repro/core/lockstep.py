@@ -9,7 +9,7 @@ one already-decoded :class:`~repro.workloads.trace.Trace` and advances
 them round-robin, one cycle each, in a single pass.
 
 Because each :class:`~repro.core.pipeline.Pipeline` owns all of its
-architectural state (op table, ROB, scheduler, memory hierarchy) and
+architectural state (in-flight ops, ROB, scheduler, memory hierarchy) and
 only *reads* the shared trace, interleaving cycles cannot change any
 simulation outcome: every pipeline executes exactly the cycles it would
 have executed under ``run()``, in the same order.  Results are

@@ -39,7 +39,6 @@ from ..telemetry.tracer import Tracer
 from ..workloads.trace import Trace
 from .config import CoreConfig
 from .ifop import InFlightOp
-from .optable import OpTable
 from .ports import PORT_MAPS_BY_WIDTH, PortFile
 from .regready import ReadyFile
 from .rob import ReorderBuffer
@@ -169,17 +168,11 @@ class Pipeline:
         self.pending_redirect: Optional[int] = None  # seq of blocking branch
         self._last_ifetch_line = -1
 
-        # structure-of-arrays op storage: every InFlightOp this pipeline
-        # hands out is a recycled view over one row of this table, sized
-        # so steady state never grows it (ROB + front-end queues).
-        self.ops = OpTable(
-            config.rob_size + config.alloc_queue + 2 * config.decode_width
-        )
         self.decode_queue: Deque[InFlightOp] = deque()
         self.dispatch_queue: Deque[Tuple[int, InFlightOp]] = deque()
         self.inflight: Dict[int, InFlightOp] = {}
         self.wakeup = WakeupScoreboard(self.inflight, self.ready)
-        self._events: List[Tuple[int, int, int, str, InFlightOp, int]] = []
+        self._events: List[Tuple[int, int, int, str, InFlightOp]] = []
         self._event_counter = 0
         self._store_issued: Dict[int, int] = {}  # store seq -> issue cycle
         self._taint: Dict[int, int] = {}  # preg -> tainting load seq
@@ -203,26 +196,23 @@ class Pipeline:
         # O(1): the wakeup scoreboard keeps this count current (each
         # completion decrements its consumers during the completion phase
         # of the cycle it lands in — exactly when a per-src poll of the
-        # ReadyFile would have started returning True).  Reads the op
-        # table column directly: this is the hottest query in the model.
-        return ifop._t.wake_pending[ifop._i] == 0
+        # ReadyFile would have started returning True).
+        return ifop.wake_pending == 0
 
     def mdp_dep_satisfied(self, ifop: InFlightOp) -> bool:
         # O(1): set at dispatch iff the dependence store had not issued
         # yet, cleared by the store's issue broadcast.
-        return ifop._t.mdp_waiting[ifop._i] == 0
+        return not ifop.mdp_waiting
 
     def op_ready(self, ifop: InFlightOp, cycle: int) -> bool:
         """All register operands ready and any MDP dependence satisfied."""
-        table = ifop._t
-        slot = ifop._i
-        return table.wake_pending[slot] == 0 and table.mdp_waiting[slot] == 0
+        return ifop.wake_pending == 0 and not ifop.mdp_waiting
 
     def try_grant(self, ifop: InFlightOp, cycle: int) -> bool:
         """Request this op's issue port; True (and consumed) if granted."""
-        opcode = ifop._t.op[ifop._i].opcode
+        opcode = ifop.op.opcode
         klass = opcode.op_class
-        port = ifop._t.port[ifop._i]
+        port = ifop.port
         if self.ports.can_issue(port, klass, cycle):
             self.ports.grant(port, klass, cycle, opcode.latency,
                              opcode.pipelined)
@@ -407,32 +397,26 @@ class Pipeline:
     # ==================================================================
     def _commit(self) -> None:
         entries = self.rob._entries
-        if not entries:
-            return
-        table = self.ops
-        completed = table.completed
-        if not completed[entries[0]._i]:
+        if not entries or not entries[0].completed:
             return
         tracer = self.tracer
         metrics = self.metrics
         for _ in range(self.config.commit_width):
-            if not entries or not completed[entries[0]._i]:
+            if not entries or not entries[0].completed:
                 return
             ifop = entries.popleft()
-            slot = ifop._i
-            seq = table.seq[slot]
+            seq = ifop.seq
             if tracer is not None:
                 tracer.emit(self.cycle, seq, "commit")
-            if table.is_store[slot]:
+            if ifop.is_store:
                 entry = self.lsu.commit_store(seq)
                 # retire the store's write into the data cache
                 self.hier.access_data(
-                    entry.addr, self.cycle, is_write=True,
-                    pc=table.op[slot].pc,
+                    entry.addr, self.cycle, is_write=True, pc=ifop.op.pc,
                 )
-            elif table.is_load[slot]:
+            elif ifop.is_load:
                 self.lsu.commit_load(seq)
-            prev_dest = table.prev_dest_preg[slot]
+            prev_dest = ifop.prev_dest_preg
             self.rename.commit_mapping(prev_dest)
             if prev_dest is not None:
                 self.ready.release(prev_dest)
@@ -441,37 +425,30 @@ class Pipeline:
             self._store_issued.pop(seq, None)
             self.inflight.pop(seq, None)
             if self.record_commits:
-                self.commit_log.append(table.op[slot])
+                self.commit_log.append(ifop.op)
             if metrics is not None:
                 metrics.count("pipeline.commit_ops")
             self.commit_count += 1
             self.stats.committed += 1
-            table.free(ifop)  # recycle the slot (and the view)
 
     # ==================================================================
     # completion / execution events
     # ==================================================================
     def _schedule(self, when: int, ifop: InFlightOp, kind: str) -> None:
         self._event_counter += 1
-        table = ifop._t
-        slot = ifop._i
         heapq.heappush(
-            self._events,
-            (when, table.seq[slot], self._event_counter, kind, ifop,
-             table.gen[slot]),
+            self._events, (when, ifop.seq, self._event_counter, kind, ifop)
         )
 
     def _process_events(self) -> None:
         events = self._events
-        ops_gen = self.ops.gen
+        inflight = self.inflight
         while events and events[0][0] <= self.cycle:
-            when, seq, _, kind, ifop, gen = heapq.heappop(events)
-            # Stale events are detected by identity *and* generation:
-            # with recycled views, a squashed-and-refetched op can alias
-            # the very object this event captured, but its slot was
-            # re-allocated so the generation stamp moved on.
-            if self.inflight.get(seq) is not ifop or ops_gen[ifop._i] != gen:
-                continue  # squashed-and-refetched: stale event
+            when, seq, _, kind, ifop = heapq.heappop(events)
+            # a squashed op left the inflight map, and its refetch is a
+            # new object, so identity alone detects a stale event
+            if inflight.get(seq) is not ifop:
+                continue
             if kind == "exec":
                 self._complete(ifop, when)
             elif kind == "load_agu":
@@ -480,14 +457,12 @@ class Pipeline:
                 self._store_agu(ifop, when)
 
     def _complete(self, ifop: InFlightOp, when: int) -> None:
-        table = ifop._t
-        slot = ifop._i
-        table.completed[slot] = 1
-        table.complete_cycle[slot] = when
+        ifop.completed = True
+        ifop.complete_cycle = when
         tracer = self.tracer
         if tracer is not None:
-            tracer.emit(when, table.seq[slot], "writeback")
-        dest_preg = table.dest_preg[slot]
+            tracer.emit(when, ifop.seq, "writeback")
+        dest_preg = ifop.dest_preg
         if dest_preg is not None:
             self.ready.mark_ready(dest_preg, when)
             self.energy["prf_write"] += 1
@@ -496,9 +471,9 @@ class Pipeline:
             for waiter in self.wakeup.wake(dest_preg, when):
                 scheduler.on_op_ready(waiter, when)
             if tracer is not None:
-                tracer.emit(when, table.seq[slot], "wakeup", f"p{dest_preg}")
+                tracer.emit(when, ifop.seq, "wakeup", f"p{dest_preg}")
         self.scheduler.on_complete(ifop, when)
-        if table.mispredicted[slot] and table.is_branch[slot]:
+        if ifop.mispredicted and ifop.is_branch:
             # the front end was stopped at this branch; redirect resolves now
             self.fetch_resume_at = max(
                 self.fetch_resume_at, when + self.config.recovery_penalty
@@ -566,45 +541,43 @@ class Pipeline:
 
     def _do_issue(self, ifop: InFlightOp) -> None:
         cycle = self.cycle
-        table = ifop._t
-        slot = ifop._i
-        table.issued[slot] = 1
-        table.issue_cycle[slot] = cycle
-        opcode = table.op[slot].opcode
-        src_pregs = table.src_pregs[slot]
+        ifop.issued = True
+        ifop.issue_cycle = cycle
+        opcode = ifop.op.opcode
+        src_pregs = ifop.src_pregs
         self.stats.issued += 1
         energy = self.energy
         energy["prf_read"] += len(src_pregs)
         energy[_FU_EVENT[opcode.op_class]] += 1
         # reconstruct when the op actually became ready (for Fig. 3c/12)
-        ready_at = table.dispatch_cycle[slot]
+        ready_at = ifop.dispatch_cycle
         ready_cycle = self.ready.ready_cycle
         for preg in src_pregs:
             at = ready_cycle(preg)
             if at > ready_at:
                 ready_at = at
-        dep = table.mdp_dep_seq[slot]
+        dep = ifop.mdp_dep_seq
         if dep is not None and dep in self._store_issued:
             ready_at = max(ready_at, self._store_issued[dep])
-        table.ready_cycle[slot] = ready_at if ready_at < cycle else cycle
+        ifop.ready_cycle = ready_at if ready_at < cycle else cycle
         if self.metrics is not None:
             self.metrics.count("pipeline.issue_ops")
-            self.metrics.count(f"pipeline.issue_port.{table.port[slot]}")
+            self.metrics.count(f"pipeline.issue_port.{ifop.port}")
         if self.tracer is not None:
-            seq = table.seq[slot]
-            self.tracer.emit(cycle, seq, "issue", f"port{table.port[slot]}")
-            if not (table.is_load[slot] or table.is_store[slot]):
+            seq = ifop.seq
+            self.tracer.emit(cycle, seq, "issue", f"port{ifop.port}")
+            if not (ifop.is_load or ifop.is_store):
                 self.tracer.emit(
                     cycle + 1, seq, "execute",
                     opcode.op_class.name.lower(),
                 )
 
-        if table.is_load[slot]:
+        if ifop.is_load:
             self._schedule(cycle + 1, ifop, "load_agu")
-        elif table.is_store[slot]:
-            seq = table.seq[slot]
+        elif ifop.is_store:
+            seq = ifop.seq
             if self.mdp is not None:
-                self.mdp.store_issued(table.op[slot].pc, seq)
+                self.mdp.store_issued(ifop.op.pc, seq)
             self._store_issued[seq] = cycle
             for waiter in self.wakeup.store_issued(seq):
                 self.scheduler.on_op_ready(waiter, cycle)
@@ -623,12 +596,10 @@ class Pipeline:
         dispatched = 0
         attribution = self.attribution
         metrics = self.metrics
-        table = self.ops
         energy = self.energy
         width = self.config.decode_width
         while queue and dispatched < width:
             available_at, ifop = queue[0]
-            slot = ifop._i
             if available_at > cycle or self.rob.full:
                 if self.rob.full:
                     if attribution is not None:
@@ -636,8 +607,8 @@ class Pipeline:
                     if metrics is not None:
                         metrics.count("pipeline.dispatch_block.rob_full")
                 return
-            is_load = table.is_load[slot]
-            is_store = table.is_store[slot]
+            is_load = ifop.is_load
+            is_store = ifop.is_store
             if is_load and self.lsu.lq_full():
                 if attribution is not None:
                     attribution.note_dispatch_block("lq_full")
@@ -657,16 +628,16 @@ class Pipeline:
                     metrics.count("pipeline.dispatch_block.iq_full")
                 return
             queue.popleft()
-            table.dispatch_cycle[slot] = cycle
-            seq = table.seq[slot]
+            ifop.dispatch_cycle = cycle
+            seq = ifop.seq
             if self.tracer is not None:
                 self.tracer.emit(cycle, seq, "dispatch")
             self.rob.append(ifop)
             if is_load:
-                self.lsu.allocate_load(seq, table.op[slot].pc)
+                self.lsu.allocate_load(seq, ifop.op.pc)
                 energy["lsq_write"] += 1
             elif is_store:
-                self.lsu.allocate_store(seq, table.op[slot].pc)
+                self.lsu.allocate_store(seq, ifop.op.pc)
                 energy["lsq_write"] += 1
             # MDP is consulted here, adjacent to steering (the paper does
             # both alongside rename; keeping them in the same stage stops
@@ -674,12 +645,12 @@ class Pipeline:
             # hint before this op's steering decision reads it)
             if self.mdp is not None and (is_load or is_store):
                 if is_store:
-                    dep = self.mdp.store_dispatched(table.op[slot].pc, seq)
+                    dep = self.mdp.store_dispatched(ifop.op.pc, seq)
                 else:
-                    dep = self.mdp.load_dispatched(table.op[slot].pc)
+                    dep = self.mdp.load_dispatched(ifop.op.pc)
                 energy["mdp_access"] += 1
                 if dep is not None and self.commit_count <= dep < seq:
-                    table.mdp_dep_seq[slot] = dep
+                    ifop.mdp_dep_seq = dep
                     if dep not in self._store_issued:
                         self.wakeup.register_mdp(ifop)
             self.scheduler.insert(ifop, cycle)
@@ -695,27 +666,24 @@ class Pipeline:
     def _classify(self, ifop: InFlightOp) -> None:
         """Tag the op Ld / LdC / Rst at dispatch time (paper Fig. 3c)."""
         taint = self._taint
-        table = ifop._t
-        slot = ifop._i
-        dest_preg = table.dest_preg[slot]
-        if table.is_load[slot]:
-            table.klass[slot] = "Ld"
+        dest_preg = ifop.dest_preg
+        if ifop.is_load:
+            ifop.klass = "Ld"
             if dest_preg is not None:
-                taint[dest_preg] = table.seq[slot]
+                taint[dest_preg] = ifop.seq
             return
         alive: Optional[int] = None
         if taint:
             inflight = self.inflight
-            completed = table.completed
-            for preg in table.src_pregs[slot]:
+            for preg in ifop.src_pregs:
                 load_seq = taint.get(preg)
                 if load_seq is None:
                     continue
                 producer = inflight.get(load_seq)
-                if producer is not None and not completed[producer._i]:
+                if producer is not None and not producer.completed:
                     alive = load_seq
                     break
-        table.klass[slot] = "LdC" if alive is not None else "Rst"
+        ifop.klass = "LdC" if alive is not None else "Rst"
         if dest_preg is not None:
             if alive is not None:
                 taint[dest_preg] = alive
@@ -728,17 +696,15 @@ class Pipeline:
             return
         cycle = self.cycle
         renamed = 0
-        table = self.ops
         fetch_latency = self.config.fetch_latency
         rename_latency = self.config.rename_latency
         width = self.config.decode_width
         dispatch_queue = self.dispatch_queue
         while queue and renamed < width:
             ifop = queue[0]
-            slot = ifop._i
-            if table.decode_cycle[slot] + fetch_latency > cycle:
+            if ifop.decode_cycle + fetch_latency > cycle:
                 return
-            op = table.op[slot]
+            op = ifop.op
             if not self.rename.can_rename(op):
                 if self.metrics is not None:
                     self.metrics.count("pipeline.rename_stall")
@@ -746,19 +712,17 @@ class Pipeline:
             queue.popleft()
             rename_rec = self.rename.rename(op)
             dest_preg = rename_rec.dest_preg
-            table.dest_preg[slot] = dest_preg
-            table.src_pregs[slot] = rename_rec.src_pregs
-            table.prev_dest_preg[slot] = rename_rec.prev_dest_preg
-            table.dest_arch[slot] = rename_rec.dest_arch
+            ifop.dest_preg = dest_preg
+            ifop.src_pregs = rename_rec.src_pregs
+            ifop.prev_dest_preg = rename_rec.prev_dest_preg
+            ifop.dest_arch = rename_rec.dest_arch
             if dest_preg is not None:
                 self.ready.mark_pending(dest_preg)
             self.wakeup.register(ifop, cycle)
-            table.port[slot] = self.ports.assign(op.opcode.op_class)
+            ifop.port = self.ports.assign(op.opcode.op_class)
             self._classify(ifop)
             if self.tracer is not None:
-                self.tracer.emit(
-                    cycle, table.seq[slot], "rename", table.klass[slot]
-                )
+                self.tracer.emit(cycle, ifop.seq, "rename", ifop.klass)
             self.energy["rename"] += 1
             dispatch_queue.append((cycle + rename_latency, ifop))
             renamed += 1
@@ -780,7 +744,6 @@ class Pipeline:
         alloc_queue = self.config.alloc_queue
         tracer = self.tracer
         metrics = self.metrics
-        ops = self.ops
         inflight = self.inflight
         stats = self.stats
         energy = self.energy
@@ -798,7 +761,7 @@ class Pipeline:
                 if extra > 0:
                     self.fetch_resume_at = cycle + extra
                     return  # I-cache miss: stall before consuming the op
-            ifop = ops.alloc(op.seq, op, cycle)
+            ifop = InFlightOp(op.seq, op, cycle)
             inflight[op.seq] = ifop
             if tracer is not None:
                 tracer.note_op(op.seq, op.pc, op.opcode.name)
@@ -877,7 +840,6 @@ class Pipeline:
             self.ports.unassign(ifop.port)
             self.energy["rat_recover"] += 1
             self.inflight.pop(ifop.seq, None)
-            self.ops.free(ifop)
         self.decode_queue = deque(
             ifop for ifop in self.decode_queue if ifop.seq < from_seq
         )
@@ -892,7 +854,6 @@ class Pipeline:
                 self.ports.unassign(ifop.port)
             self.energy["rat_recover"] += 1
             self.inflight.pop(ifop.seq, None)
-            self.ops.free(ifop)
         # 3) scheduler, LSQ, and MDP.  The MDP sweep covers both squashed
         #    stores (their LFST entries die, whatever their pc) and the
         #    stale-reservation case: an MDA-steered load squashed while
@@ -905,12 +866,11 @@ class Pipeline:
         self._store_issued = {
             seq: cyc for seq, cyc in self._store_issued.items() if seq < from_seq
         }
-        # 4) drop stale inflight entries for anything younger — this is
-        #    where decode-queue ops (never renamed) give their slot back.
-        #    Events/wakeup entries are invalidated by identity+generation,
-        #    but the map must not leak and slots must be recycled.
+        # 4) drop stale inflight entries for anything younger (the
+        #    never-renamed decode-queue ops).  Events and wakeup entries
+        #    are invalidated by identity, but the map must not leak.
         for seq in [s for s in self.inflight if s >= from_seq]:
-            self.ops.free(self.inflight.pop(seq))
+            del self.inflight[seq]
         # 5) refetch from the squashed load after the recovery penalty
         self.fetch_index = from_seq
         self.fetch_resume_at = max(

@@ -20,14 +20,10 @@ can never have live waiters (a consumer of the old mapping is always
 older than the op whose commit/squash released it).
 
 Stale entries (squashed-and-refetched ops) are invalidated by object
-identity against the pipeline's ``inflight`` map *and* by the op-table
-generation stamp captured at registration time, mirroring how the
-pipeline's event queue discards stale completion events.  Identity
-alone stopped being sufficient when :class:`InFlightOp` became a
-recycled view over :class:`~repro.core.optable.OpTable` — a refetched
-op can alias the very object a stale bucket holds — and the generation
-alone is insufficient for standalone (table-less) test ops, so both
-are checked.
+identity against the pipeline's ``inflight`` map: every fetch builds a
+fresh :class:`InFlightOp`, so a refetched op never aliases the object a
+stale bucket holds.  The pipeline's event queue discards stale
+completion events by the same rule.
 """
 
 from __future__ import annotations
@@ -46,10 +42,10 @@ class WakeupScoreboard:
     def __init__(self, inflight: Dict[int, InFlightOp], ready: "ReadyFile"):
         self._inflight = inflight
         self._ready = ready
-        #: preg -> (op, gen) pairs with an outstanding read of that preg
-        self._consumers: Dict[int, List[Tuple[InFlightOp, int]]] = {}
-        #: store seq -> (op, gen) pairs waiting on that store's issue
-        self._mdp_waiters: Dict[int, List[Tuple[InFlightOp, int]]] = {}
+        #: preg -> ops with at least one outstanding read of that preg
+        self._consumers: Dict[int, List[InFlightOp]] = {}
+        #: store seq -> ops waiting on that store's issue (MDP dependence)
+        self._mdp_waiters: Dict[int, List[InFlightOp]] = {}
         self.broadcasts = 0
         self.wakeups = 0
 
@@ -66,25 +62,20 @@ class WakeupScoreboard:
         pending = 0
         ready = self._ready
         consumers = self._consumers
-        table = ifop._t
-        slot = ifop._i
-        entry = (ifop, table.gen[slot])
-        for preg in table.src_pregs[slot]:
+        for preg in ifop.src_pregs:
             if not ready.is_ready(preg, cycle):
                 pending += 1
                 bucket = consumers.get(preg)
                 if bucket is None:
-                    consumers[preg] = [entry]
+                    consumers[preg] = [ifop]
                 else:
-                    bucket.append(entry)
-        table.wake_pending[slot] = pending
+                    bucket.append(ifop)
+        ifop.wake_pending = pending
 
     def register_mdp(self, ifop: InFlightOp) -> None:
         """The op's MDP dependence store has not issued yet: park it."""
         ifop.mdp_waiting = True
-        self._mdp_waiters.setdefault(ifop.mdp_dep_seq, []).append(
-            (ifop, ifop.gen)
-        )
+        self._mdp_waiters.setdefault(ifop.mdp_dep_seq, []).append(ifop)
 
     # ------------------------------------------------------------------
     # broadcasts (completion / store-issue time)
@@ -103,16 +94,13 @@ class WakeupScoreboard:
         inflight = self._inflight
         woken: List[InFlightOp] = []
         wakeups = 0
-        for ifop, gen in consumers:
-            table = ifop._t
-            slot = ifop._i
-            # stale if squashed (identity) or slot recycled (generation)
-            if inflight.get(table.seq[slot]) is not ifop or table.gen[slot] != gen:
-                continue
-            pending = table.wake_pending[slot] - 1
-            table.wake_pending[slot] = pending
+        for ifop in consumers:
+            if inflight.get(ifop.seq) is not ifop:
+                continue  # squashed (and possibly refetched): stale entry
+            pending = ifop.wake_pending - 1
+            ifop.wake_pending = pending
             wakeups += 1
-            if pending == 0 and not table.mdp_waiting[slot]:
+            if pending == 0 and not ifop.mdp_waiting:
                 woken.append(ifop)
         self.wakeups += wakeups
         return tuple(woken)
@@ -124,9 +112,9 @@ class WakeupScoreboard:
             return ()
         inflight = self._inflight
         woken: List[InFlightOp] = []
-        for ifop, gen in waiters:
-            if inflight.get(ifop.seq) is not ifop or ifop.gen != gen:
-                continue  # stale (squashed consumer or recycled slot)
+        for ifop in waiters:
+            if inflight.get(ifop.seq) is not ifop:
+                continue  # stale (squashed consumer)
             ifop.mdp_waiting = False
             if ifop.wake_pending == 0:
                 woken.append(ifop)

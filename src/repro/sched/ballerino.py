@@ -202,13 +202,11 @@ class BallerinoScheduler(SchedulerBase):
                 heads = ((0, piq.partitions[0][0]),)
             for partition, head in heads:
                 select_inputs += 1
-                table = head._t
-                slot = head._i
                 # inlined core.srcs_ready / core.mdp_dep_satisfied
-                if table.wake_pending[slot]:
+                if head.wake_pending:
                     head_states["wait_operand"] += 1
                     continue
-                if table.mdp_waiting[slot]:
+                if head.mdp_waiting:
                     head_states["wait_mdep"] += 1
                     continue
                 if not try_grant(head, cycle):
@@ -254,11 +252,7 @@ class BallerinoScheduler(SchedulerBase):
         issued_mask = []
         ready_mask = []
         for op in window:
-            table = op._t
-            slot = op._i
-            ready = (
-                table.wake_pending[slot] == 0 and table.mdp_waiting[slot] == 0
-            )
+            ready = op.wake_pending == 0 and not op.mdp_waiting
             granted = ready and try_grant(op, cycle)
             ready_mask.append(ready)
             issued_mask.append(granted)

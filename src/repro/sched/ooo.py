@@ -10,10 +10,16 @@ prioritising by sequence number instead of slot position (Fig. 11's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional
 
 from ..core.ifop import InFlightOp
 from .base import SchedulerBase
+
+
+#: select-order sort keys: age (oldest-first) or slot position
+_BY_SEQ = attrgetter("seq")
+_BY_SLOT = attrgetter("iq_index")
 
 
 class OutOfOrderScheduler(SchedulerBase):
@@ -34,11 +40,10 @@ class OutOfOrderScheduler(SchedulerBase):
         # tests drive schedulers with stripped-down fake cores that
         # poll their own readiness — those keep the scanning path.
         self._event_driven = getattr(core, "wakeup", None) is not None
-        # (op, generation) pairs: with recycled InFlightOp views a slot
-        # residency check alone can alias a flushed-and-reinserted op,
-        # so entries carry the op-table generation captured when the op
-        # became ready (see repro.core.optable).
-        self._ready_ops: List[Tuple[InFlightOp, int]] = []
+        # ops that became ready since the last select; an entry that has
+        # since issued or been flushed fails the slot-residency identity
+        # check (a refetched op is a new object) and is dropped there
+        self._ready_ops: List[InFlightOp] = []
 
     def can_accept(self, ifop: InFlightOp) -> bool:
         return self._count < self.iq_size
@@ -50,14 +55,14 @@ class OutOfOrderScheduler(SchedulerBase):
         self._count += 1
         self.energy["iq_write"] += 1
         if self._event_driven and self.core.op_ready(ifop, cycle):
-            self._ready_ops.append((ifop, ifop.gen))
+            self._ready_ops.append(ifop)
 
     def on_op_ready(self, ifop: InFlightOp, cycle: int) -> None:
         # only track ops currently resident in this window (the identity
         # check also rejects stale iq_index values left by other queues)
         index = ifop.iq_index
         if 0 <= index < self.iq_size and self._slots[index] is ifop:
-            self._ready_ops.append((ifop, ifop.gen))
+            self._ready_ops.append(ifop)
 
     def select(self, cycle: int) -> List[InFlightOp]:
         core = self.core
@@ -67,34 +72,22 @@ class OutOfOrderScheduler(SchedulerBase):
         self.energy["select_input"] += self._count
         event_driven = self._event_driven
         if event_driven:
-            # drop entries that issued, were flushed, or whose view was
-            # recycled for a new op since they woke (generation check)
+            # drop entries that issued or were flushed since they woke
             slots = self._slots
-            candidates = []
-            for pair in self._ready_ops:
-                op = pair[0]
-                table = op._t
-                index = table.iq_index[op._i]
-                if slots[index] is op and table.gen[op._i] == pair[1]:
-                    candidates.append(pair)
+            candidates = [
+                op for op in self._ready_ops if slots[op.iq_index] is op
+            ]
             # restore the prefix-sum examination order: slot position
             # (or age under oldest-first) — identical to a full scan
-            candidates.sort(
-                key=(lambda pair: pair[0]._t.seq[pair[0]._i])
-                if self.oldest_first
-                else (lambda pair: pair[0]._t.iq_index[pair[0]._i])
-            )
+            candidates.sort(key=_BY_SEQ if self.oldest_first else _BY_SLOT)
         else:
-            candidates = [
-                (op, 0) for op in self._slots if op is not None
-            ]
+            candidates = [op for op in self._slots if op is not None]
             if self.oldest_first:
-                candidates.sort(key=lambda pair: pair[0].seq)
+                candidates.sort(key=_BY_SEQ)
         issued: List[InFlightOp] = []
-        leftover: List[Tuple[InFlightOp, int]] = []
+        leftover: List[InFlightOp] = []
         width = core.config.issue_width
-        for position, pair in enumerate(candidates):
-            op = pair[0]
+        for position, op in enumerate(candidates):
             if len(issued) >= width:
                 if event_driven:
                     leftover.extend(candidates[position:])
@@ -103,7 +96,7 @@ class OutOfOrderScheduler(SchedulerBase):
                 continue
             if not core.try_grant(op, cycle):
                 if event_driven:
-                    leftover.append(pair)  # stays ready; retry next cycle
+                    leftover.append(op)  # stays ready; retry next cycle
                 continue
             self._remove(op)
             self.energy["iq_read"] += 1

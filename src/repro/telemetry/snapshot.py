@@ -114,6 +114,19 @@ def _lfst_state(mdp) -> List[Dict]:
     return entries
 
 
+def _in_flight_summary(pipe) -> Dict[str, int]:
+    """Counts over every fetched, not yet committed µop."""
+    out = {"live": 0, "issued": 0, "completed": 0,
+           "waiting_sources": 0, "waiting_mdp": 0}
+    for ifop in pipe.inflight.values():
+        out["live"] += 1
+        out["issued"] += ifop.issued
+        out["completed"] += ifop.completed
+        out["waiting_sources"] += ifop.wake_pending > 0
+        out["waiting_mdp"] += ifop.mdp_waiting
+    return out
+
+
 def capture_snapshot(pipe, reason: str = "") -> Dict:
     """Capture a wedged (or merely interesting) pipeline's state.
 
@@ -158,9 +171,7 @@ def capture_snapshot(pipe, reason: str = "") -> Dict:
         },
         "lfst": _lfst_state(pipe.mdp) if pipe.mdp is not None else [],
         "pending_events": len(pipe._events),
-        # aggregate over the structure-of-arrays op table (numpy fast
-        # path when available; see repro.core.optable.OpTable.summary)
-        "op_table": pipe.ops.summary(),
+        "in_flight": _in_flight_summary(pipe),
     }
     if pipe.attribution is not None:
         snap["stall_cycles"] = pipe.attribution.totals()
@@ -236,11 +247,11 @@ def render_snapshot(snapshot: Dict) -> str:
             for k, v in snapshot["stall_cycles"].items() if v
         )
         add(f"  stall attribution: {parts}")
-    table = snapshot.get("op_table")
-    if table:
-        add(f"  op table: {table['live']}/{table['capacity']} live "
-            f"({table['issued']} issued, {table['completed']} completed, "
-            f"{table['waiting_sources']} waiting on sources, "
-            f"{table['waiting_mdp']} on MDP)")
+    ops = snapshot.get("in_flight")
+    if ops:
+        add(f"  in flight: {ops['live']} ops "
+            f"({ops['issued']} issued, {ops['completed']} completed, "
+            f"{ops['waiting_sources']} waiting on sources, "
+            f"{ops['waiting_mdp']} on MDP)")
     add(f"  pending completion events: {snapshot['pending_events']}")
     return "\n".join(lines)

@@ -14,8 +14,7 @@ central claim — interleaving changes *nothing* — three ways:
    a ``lockstep=False`` batch, while actually batching (group counter).
 
 Plus failure isolation (a dying pipeline must not take its siblings
-down) and a differential fuzz smoke through the structure-of-arrays
-path.
+down) and a differential fuzz smoke through the full pipeline.
 """
 
 import json
@@ -152,14 +151,14 @@ def test_runner_lockstep_repeat_batch_all_cache_hits(tmp_path):
     assert runner.lockstep_groups == groups_before
 
 
-def test_fuzz_smoke_through_soa_path():
-    """Differential oracle over generated programs on the SoA storage.
+def test_fuzz_smoke_through_pipeline():
+    """Differential oracle over generated programs on the real pipeline.
 
     A handful of programs on a 3-arch slice suffices here — the
     dedicated fuzz-smoke CI job runs the large campaign; this pins that
-    the structure-of-arrays rewrite didn't break the differential
-    oracle itself (replay, arch-state diff, and per-cycle invariant
-    checking all reach through InFlightOp views into the op table).
+    the core's in-flight op bookkeeping keeps the differential oracle
+    itself working (replay, arch-state diff, and per-cycle invariant
+    checking all read the pipeline's InFlightOp objects).
     Seed 12 is disjoint from the seeds the fuzzer unit tests burn and
     generates short programs (~3k executed ops across the batch), so
     the per-cycle invariant checker stays affordable in tier-1.

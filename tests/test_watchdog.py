@@ -78,6 +78,35 @@ def test_render_snapshot_is_human_readable():
     assert excinfo.value.render().startswith(str(excinfo.value))
 
 
+@pytest.mark.parametrize("arch", ["ooo", "ballerino"])
+def test_snapshot_counts_in_flight_ops(arch):
+    pipe = _wedged_pipeline(arch)
+    with pytest.raises(DeadlockError) as excinfo:
+        pipe.run()
+    counts = excinfo.value.snapshot["in_flight"]
+    ops = list(pipe.inflight.values())
+    assert counts == {
+        "live": len(ops),
+        "issued": sum(1 for op in ops if op.issued),
+        "completed": sum(1 for op in ops if op.completed),
+        "waiting_sources": sum(1 for op in ops if op.wake_pending > 0),
+        "waiting_mdp": sum(1 for op in ops if op.mdp_waiting),
+    }
+    # nothing committed or squashed: every fetched op is still in flight,
+    # split across the front-end queues and the ROB; nothing ever issued
+    assert counts["live"] == pipe.stats.fetched == (
+        len(pipe.rob) + len(pipe.decode_queue) + len(pipe.dispatch_queue)
+    )
+    assert counts["issued"] == counts["completed"] == 0
+    assert counts["waiting_sources"] > 0
+    text = render_snapshot(excinfo.value.snapshot)
+    assert (
+        f"in flight: {counts['live']} ops (0 issued, 0 completed, "
+        f"{counts['waiting_sources']} waiting on sources, "
+        f"{counts['waiting_mdp']} on MDP)"
+    ) in text
+
+
 def test_watchdog_disabled_falls_back_to_max_cycles():
     pipe = _wedged_pipeline(deadlock_cycles=0)
     with pytest.raises(DeadlockError) as excinfo:
