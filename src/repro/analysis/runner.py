@@ -1006,21 +1006,6 @@ class ExperimentRunner:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
 
-    def run_cell(self, workload: str, config: CoreConfig,
-                 seed: Optional[int] = None,
-                 retries: Optional[int] = None,
-                 ) -> Union[SimResult, FailedResult]:
-        """Reusable single-cell entry point with quarantine semantics.
-
-        Unlike :meth:`run` (which raises on failure), a cell that keeps
-        failing comes back as a structured :class:`FailedResult` — the
-        same retry/quarantine/cache machinery as :meth:`run_many`, for
-        hosts that execute one task at a time (e.g. the ``repro serve``
-        worker pool).
-        """
-        return self.run_many([(workload, config, seed)], jobs=1,
-                             retries=retries)[0]
-
     def run_seeds(self, workload: str, config: CoreConfig,
                   seeds: Sequence[int],
                   jobs: Optional[int] = None) -> List[SimResult]:

@@ -557,8 +557,9 @@ def _traced_run(workload: str, arch: str, args, metrics=None, sampler=None):
     cfg = config_for(arch, width=args.width)
     trace = get_trace(workload, args.ops, args.seed)
     tracer, attribution = Tracer(), StallAttribution()
-    result = Pipeline(trace, cfg, tracer=tracer, attribution=attribution,
-                      metrics=metrics, sampler=sampler).run()
+    observers = [tracer, attribution, metrics, sampler]
+    result = Pipeline(trace, cfg, observers=[
+        o for o in observers if o is not None]).run()
     return result, tracer, attribution
 
 

@@ -74,9 +74,6 @@ class CoreConfig:
     #: snapshot) when no µop commits for this many consecutive cycles.
     #: ``0`` disables the watchdog (the ``max_cycles`` bound still holds).
     deadlock_cycles: int = 100_000
-    #: Run the per-cycle invariant checker (repro.verify.invariants).
-    #: Debug/fuzzing aid — slows simulation down considerably.
-    check_invariants: bool = False
     #: Sampled-simulation knobs (see :mod:`repro.core.sampling`).  With
     #: ``sample_period == 0`` (the default) every cycle is simulated in
     #: detail; a positive period makes :func:`~repro.core.pipeline.

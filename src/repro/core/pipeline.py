@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..frontend.branch_predictor import FrontEnd
 from ..isa.opcodes import OpClass
@@ -34,11 +34,10 @@ from ..memory.cache import LINE_SIZE
 from ..memory.hierarchy import CODE_BASE, MemoryHierarchy
 from ..rename.rename_unit import RenameUnit
 from ..telemetry.attribution import StallAttribution
-from ..telemetry.metrics import IntervalSampler, MetricsRegistry
-from ..telemetry.tracer import Tracer
 from ..workloads.trace import Trace
 from .config import CoreConfig
 from .ifop import InFlightOp
+from .observe import Observer, Observers
 from .ports import PORT_MAPS_BY_WIDTH, PortFile
 from .regready import ReadyFile
 from .rob import ReorderBuffer
@@ -99,19 +98,12 @@ class Pipeline:
         config: Core configuration (see :mod:`repro.core.config`).
         scheduler_factory: ``f(pipeline) -> scheduler``; defaults to building
             the scheduler named by ``config.scheduler.kind``.
-        tracer: Optional :class:`~repro.telemetry.tracer.Tracer` receiving
-            per-µop lifecycle events.  Every hook guards on this single
-            nullable reference, so the disabled cost is one branch.
-        attribution: Optional :class:`~repro.telemetry.attribution.
-            StallAttribution` fed once per cycle; its totals land on
-            ``SimResult.stats.stall_cycles`` / ``.occupancy``.
-        metrics: Optional :class:`~repro.telemetry.metrics.
-            MetricsRegistry` receiving hardware-style event counters
-            from the pipeline, scheduler, LSQ and rename unit (same
-            nullable-reference pattern as the tracer).
-        sampler: Optional :class:`~repro.telemetry.metrics.
-            IntervalSampler`; its every-N-cycles time-series lands on
-            ``SimResult.interval_samples``.
+        check_invariants: Run the per-cycle invariant checker
+            (:mod:`repro.verify.invariants`) after every cycle.
+        observers: :class:`~repro.core.observe.Observer` objects (tracer,
+            stall attribution, metrics, interval sampler, ...), reached
+            through the one nullable ``self.observe`` (``None`` when the
+            list is empty, so the disabled cost is one branch per site).
         frontend / hierarchy / mdp: Pre-warmed front end, memory
             hierarchy, and memory-dependence predictor to *share*
             instead of building fresh ones — the sampled-simulation
@@ -126,32 +118,28 @@ class Pipeline:
         config: CoreConfig,
         scheduler_factory: Optional[Callable[["Pipeline"], object]] = None,
         check_invariants: bool = False,
-        record_commits: bool = False,
-        tracer: Optional[Tracer] = None,
-        attribution: Optional[StallAttribution] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        sampler: Optional[IntervalSampler] = None,
+        observers: Sequence[Observer] = (),
         frontend: Optional[FrontEnd] = None,
         hierarchy: Optional[MemoryHierarchy] = None,
         mdp: Optional[StoreSetPredictor] = None,
     ):
         self.trace = trace
         self.config = config
-        self.tracer = tracer
-        self.attribution = attribution
-        self.metrics = metrics
-        self.sampler = sampler
+        self.observe = Observers(observers) if observers else None
+        #: the attached stall attribution, which the interval sampler,
+        #: the invariant checker and deadlock snapshots read
+        self.attribution = next(
+            (o for o in observers if isinstance(o, StallAttribution)), None
+        )
         self.hier = (
             hierarchy if hierarchy is not None
             else MemoryHierarchy(config.hierarchy)
         )
         self.frontend = frontend if frontend is not None else FrontEnd()
         self.rename = RenameUnit(config.phys_int, config.phys_fp)
-        self.rename.metrics = metrics
         self.ready = ReadyFile(self.rename.num_phys)
         self.lsu = LoadStoreUnit(config.lq_size, config.sq_size)
-        self.lsu.tracer = tracer
-        self.lsu.metrics = metrics
+        self.lsu.observe = self.observe
         self.mdp: Optional[StoreSetPredictor] = (
             mdp if mdp is not None
             else (StoreSetPredictor() if config.mdp_enabled else None)
@@ -177,11 +165,7 @@ class Pipeline:
         self._store_issued: Dict[int, int] = {}  # store seq -> issue cycle
         self._taint: Dict[int, int] = {}  # preg -> tainting load seq
 
-        self.check_invariants = check_invariants or config.check_invariants
-        #: committed DynOps in commit order (the differential oracle's
-        #: observable); populated only when record_commits is set.
-        self.record_commits = record_commits
-        self.commit_log: List = []
+        self.check_invariants = check_invariants
 
         if scheduler_factory is None:
             from ..sched import create_scheduler
@@ -218,9 +202,6 @@ class Pipeline:
                              opcode.pipelined)
             return True
         return False
-
-    def producer_incomplete(self, preg: int, cycle: int) -> bool:
-        return not self.ready.is_ready(preg, cycle)
 
     # ==================================================================
     # main loop
@@ -282,8 +263,9 @@ class Pipeline:
         self._dispatch()
         self._rename_stage()
         self._fetch()
-        if self.attribution is not None:
-            self.attribution.record_cycle(self, self.commit_count != before)
+        observe = self.observe
+        if observe is not None:
+            observe.on_cycle(self, self.commit_count != before)
         if self.check_invariants:
             self._assert_invariants()
         stats = self.stats
@@ -294,8 +276,8 @@ class Pipeline:
             self._issued_before = stats.issued
             self._last_issue_cycle = self.cycle
         self.cycle += 1
-        if self.sampler is not None:
-            self.sampler.tick(self)
+        if observe is not None:
+            observe.on_tick(self)
         deadlock_cycles = self._deadlock_cycles
         if deadlock_cycles and self.cycle - self._last_commit_cycle > deadlock_cycles:
             raise self._deadlock(
@@ -311,28 +293,20 @@ class Pipeline:
     def finalize(self) -> SimResult:
         """Seal the stats and build the :class:`SimResult` (call once)."""
         self.stats.cycles = self.cycle
-        if self.attribution is not None:
-            self.stats.stall_cycles = self.attribution.totals()
-            self.stats.occupancy = self.attribution.occupancy_averages()
         self.stats.scheduler = dict(self.scheduler.extra_stats())
         self.stats.branch_lookups = self.frontend.lookups
         for name, count in self.hier.events.items():
             self.energy[name] += count
-        if self.sampler is not None:
-            self.sampler.finalize(self)
-        return SimResult(
+        result = SimResult(
             workload=self.trace.name,
             config_name=self.config.name,
             stats=self.stats,
             memory_stats=self.hier.stats(),
             frequency_ghz=self.config.frequency_ghz,
-            interval_samples=(
-                self.sampler.samples if self.sampler is not None else []
-            ),
-            sample_interval=(
-                self.sampler.interval if self.sampler is not None else 0
-            ),
         )
+        if self.observe is not None:
+            self.observe.on_finalize(self, result)
+        return result
 
     def _deadlock(self, reason: str) -> DeadlockError:
         """Build the watchdog exception with a full pipeline snapshot."""
@@ -399,15 +373,14 @@ class Pipeline:
         entries = self.rob._entries
         if not entries or not entries[0].completed:
             return
-        tracer = self.tracer
-        metrics = self.metrics
+        observe = self.observe
         for _ in range(self.config.commit_width):
             if not entries or not entries[0].completed:
                 return
             ifop = entries.popleft()
             seq = ifop.seq
-            if tracer is not None:
-                tracer.emit(self.cycle, seq, "commit")
+            if observe is not None:
+                observe.on_event(self.cycle, seq, "commit")
             if ifop.is_store:
                 entry = self.lsu.commit_store(seq)
                 # retire the store's write into the data cache
@@ -424,10 +397,6 @@ class Pipeline:
             self.energy["rob_commit"] += 1
             self._store_issued.pop(seq, None)
             self.inflight.pop(seq, None)
-            if self.record_commits:
-                self.commit_log.append(ifop.op)
-            if metrics is not None:
-                metrics.count("pipeline.commit_ops")
             self.commit_count += 1
             self.stats.committed += 1
 
@@ -459,9 +428,9 @@ class Pipeline:
     def _complete(self, ifop: InFlightOp, when: int) -> None:
         ifop.completed = True
         ifop.complete_cycle = when
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(when, ifop.seq, "writeback")
+        observe = self.observe
+        if observe is not None:
+            observe.on_event(when, ifop.seq, "writeback")
         dest_preg = ifop.dest_preg
         if dest_preg is not None:
             self.ready.mark_ready(dest_preg, when)
@@ -470,16 +439,16 @@ class Pipeline:
             scheduler.on_wakeup(dest_preg, when)
             for waiter in self.wakeup.wake(dest_preg, when):
                 scheduler.on_op_ready(waiter, when)
-            if tracer is not None:
-                tracer.emit(when, ifop.seq, "wakeup", f"p{dest_preg}")
+            if observe is not None:
+                observe.on_event(when, ifop.seq, "wakeup", f"p{dest_preg}")
         self.scheduler.on_complete(ifop, when)
         if ifop.mispredicted and ifop.is_branch:
             # the front end was stopped at this branch; redirect resolves now
             self.fetch_resume_at = max(
                 self.fetch_resume_at, when + self.config.recovery_penalty
             )
-            if self.attribution is not None:
-                self.attribution.note_recovery(self.fetch_resume_at)
+            if observe is not None:
+                observe.on_recovery(self.fetch_resume_at)
             if self.pending_redirect == ifop.seq:
                 self.pending_redirect = None
             # wrong-path activity: the real front end fetches/decodes down
@@ -510,8 +479,8 @@ class Pipeline:
             complete_at = result.complete_cycle
             source = -1
             served_by = result.level
-        if self.tracer is not None:
-            self.tracer.emit(when, seq, "execute", served_by)
+        if self.observe is not None:
+            self.observe.on_event(when, seq, "execute", served_by)
         self.lsu.load_executed(seq, when, source)
         self._schedule(max(complete_at, when + 1), ifop, "exec")
 
@@ -521,9 +490,10 @@ class Pipeline:
         self.lsu.store_data_ready(seq, when)
         ifop.completed = True
         ifop.complete_cycle = when
-        if self.tracer is not None:
-            self.tracer.emit(when, seq, "execute", "agu")
-            self.tracer.emit(when, seq, "writeback")
+        observe = self.observe
+        if observe is not None:
+            observe.on_event(when, seq, "execute", "agu")
+            observe.on_event(when, seq, "writeback")
         if violators:
             offender = violators[0]
             victim = self.inflight.get(offender)
@@ -560,14 +530,13 @@ class Pipeline:
         if dep is not None and dep in self._store_issued:
             ready_at = max(ready_at, self._store_issued[dep])
         ifop.ready_cycle = ready_at if ready_at < cycle else cycle
-        if self.metrics is not None:
-            self.metrics.count("pipeline.issue_ops")
-            self.metrics.count(f"pipeline.issue_port.{ifop.port}")
-        if self.tracer is not None:
+        observe = self.observe
+        if observe is not None:
             seq = ifop.seq
-            self.tracer.emit(cycle, seq, "issue", f"port{ifop.port}")
+            observe.on_count(f"pipeline.issue_port.{ifop.port}")
+            observe.on_event(cycle, seq, "issue", f"port{ifop.port}")
             if not (ifop.is_load or ifop.is_store):
-                self.tracer.emit(
+                observe.on_event(
                     cycle + 1, seq, "execute",
                     opcode.op_class.name.lower(),
                 )
@@ -594,44 +563,34 @@ class Pipeline:
             return
         cycle = self.cycle
         dispatched = 0
-        attribution = self.attribution
-        metrics = self.metrics
+        observe = self.observe
         energy = self.energy
         width = self.config.decode_width
         while queue and dispatched < width:
             available_at, ifop = queue[0]
             if available_at > cycle or self.rob.full:
-                if self.rob.full:
-                    if attribution is not None:
-                        attribution.note_dispatch_block("rob_full")
-                    if metrics is not None:
-                        metrics.count("pipeline.dispatch_block.rob_full")
+                if self.rob.full and observe is not None:
+                    observe.on_dispatch_block("rob_full")
                 return
             is_load = ifop.is_load
             is_store = ifop.is_store
             if is_load and self.lsu.lq_full():
-                if attribution is not None:
-                    attribution.note_dispatch_block("lq_full")
-                if metrics is not None:
-                    metrics.count("pipeline.dispatch_block.lq_full")
+                if observe is not None:
+                    observe.on_dispatch_block("lq_full")
                 return
             if is_store and self.lsu.sq_full():
-                if attribution is not None:
-                    attribution.note_dispatch_block("sq_full")
-                if metrics is not None:
-                    metrics.count("pipeline.dispatch_block.sq_full")
+                if observe is not None:
+                    observe.on_dispatch_block("sq_full")
                 return
             if not self.scheduler.can_accept(ifop):
-                if attribution is not None:
-                    attribution.note_dispatch_block("iq_full")
-                if metrics is not None:
-                    metrics.count("pipeline.dispatch_block.iq_full")
+                if observe is not None:
+                    observe.on_dispatch_block("iq_full")
                 return
             queue.popleft()
             ifop.dispatch_cycle = cycle
             seq = ifop.seq
-            if self.tracer is not None:
-                self.tracer.emit(cycle, seq, "dispatch")
+            if observe is not None:
+                observe.on_event(cycle, seq, "dispatch")
             self.rob.append(ifop)
             if is_load:
                 self.lsu.allocate_load(seq, ifop.op.pc)
@@ -656,8 +615,6 @@ class Pipeline:
             self.scheduler.insert(ifop, cycle)
             energy["dispatch"] += 1
             energy["rob_write"] += 1
-            if metrics is not None:
-                metrics.count("pipeline.dispatch_ops")
             dispatched += 1
 
     # ==================================================================
@@ -706,8 +663,8 @@ class Pipeline:
                 return
             op = ifop.op
             if not self.rename.can_rename(op):
-                if self.metrics is not None:
-                    self.metrics.count("pipeline.rename_stall")
+                if self.observe is not None:
+                    self.observe.on_count("pipeline.rename_stall")
                 return  # stall until physical registers free up
             queue.popleft()
             rename_rec = self.rename.rename(op)
@@ -721,8 +678,8 @@ class Pipeline:
             self.wakeup.register(ifop, cycle)
             ifop.port = self.ports.assign(op.opcode.op_class)
             self._classify(ifop)
-            if self.tracer is not None:
-                self.tracer.emit(cycle, ifop.seq, "rename", ifop.klass)
+            if self.observe is not None:
+                self.observe.on_event(cycle, ifop.seq, "rename", ifop.klass)
             self.energy["rename"] += 1
             dispatch_queue.append((cycle + rename_latency, ifop))
             renamed += 1
@@ -742,8 +699,7 @@ class Pipeline:
         decode_queue = self.decode_queue
         width = self.config.decode_width
         alloc_queue = self.config.alloc_queue
-        tracer = self.tracer
-        metrics = self.metrics
+        observe = self.observe
         inflight = self.inflight
         stats = self.stats
         energy = self.energy
@@ -763,13 +719,10 @@ class Pipeline:
                     return  # I-cache miss: stall before consuming the op
             ifop = InFlightOp(op.seq, op, cycle)
             inflight[op.seq] = ifop
-            if tracer is not None:
-                tracer.note_op(op.seq, op.pc, op.opcode.name)
-                tracer.emit(cycle, op.seq, "fetch")
+            if observe is not None:
+                observe.on_event(cycle, op.seq, "fetch")
             decode_queue.append(ifop)
             energy["fetch"] += 1
-            if metrics is not None:
-                metrics.count("pipeline.fetch_ops")
             self.fetch_index += 1
             stats.fetched += 1
             fetched += 1
@@ -794,8 +747,6 @@ class Pipeline:
         direction_ok = prediction.taken == bool(op.taken)
         if not direction_ok:
             # full misprediction: fetch stops until the branch executes
-            if self.metrics is not None:
-                self.metrics.count("pipeline.branch_mispredicts")
             self.stats.branch_mispredicts += 1
             ifop.mispredicted = True
             self.pending_redirect = ifop.seq
@@ -813,16 +764,11 @@ class Pipeline:
     def _squash(self, from_seq: int) -> None:
         """Squash every op with seq >= ``from_seq`` and refetch."""
         self.stats.flushes += 1
-        if self.metrics is not None:
-            self.metrics.count("pipeline.squashes")
-            self.metrics.observe(
-                "pipeline.squash_depth",
-                sum(1 for seq in self.inflight if seq >= from_seq),
-            )
-        if self.tracer is not None:
-            for seq in self.inflight:
-                if seq >= from_seq:
-                    self.tracer.emit(self.cycle, seq, "squash", "mem_order")
+        observe = self.observe
+        if observe is not None:
+            squashed = [seq for seq in self.inflight if seq >= from_seq]
+            for seq in squashed:
+                observe.on_event(self.cycle, seq, "squash", "mem_order")
         # 1) pre-dispatch queues: drop (dispatch_queue ops are renamed, so
         #    undo them youngest-first before touching the ROB's older ops)
         undispatched = [
@@ -876,8 +822,8 @@ class Pipeline:
         self.fetch_resume_at = max(
             self.fetch_resume_at, self.cycle + self.config.recovery_penalty
         )
-        if self.attribution is not None:
-            self.attribution.note_recovery(self.fetch_resume_at)
+        if observe is not None:
+            observe.on_recovery(self.fetch_resume_at, len(squashed))
         if self.pending_redirect is not None and self.pending_redirect >= from_seq:
             self.pending_redirect = None
         self._last_ifetch_line = -1
@@ -887,33 +833,25 @@ def simulate(
     trace: Trace,
     config: CoreConfig,
     max_cycles: int = 50_000_000,
-    tracer: Optional[Tracer] = None,
-    attribution: Optional[StallAttribution] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    sampler: Optional[IntervalSampler] = None,
+    observers: Sequence[Observer] = (),
     phase_hook=None,
 ) -> SimResult:
     """Convenience wrapper: build a :class:`Pipeline` and run it.
 
     When the config enables sampling (``sample_period > 0``) and no
-    telemetry hook is attached, the run is delegated to the sampled
-    driver (:func:`repro.core.sampling.simulate_sampled`) — this is the
-    single dispatch point through which the experiment runner, sweeps,
-    and the serve worker pool inherit sampled execution.  Telemetry
-    hooks (tracer/attribution/metrics/sampler) force a full-detail run:
-    their per-µop / per-cycle semantics are undefined across
-    fast-forwarded gaps.  ``phase_hook`` (see :class:`~repro.core.
+    observer is attached, the run is delegated to the sampled driver
+    (:func:`repro.core.sampling.simulate_sampled`) — this is the single
+    dispatch point through which the experiment runner, sweeps, and the
+    serve worker pool inherit sampled execution.  Observers force a
+    full-detail run: their per-µop / per-cycle semantics are undefined
+    across fast-forwarded gaps.  ``phase_hook`` (see :class:`~repro.core.
     sampling.SampledSimulation`) observes the sampled phase machine;
     it is ignored on full-detail runs, which have no phases.
     """
-    if config.sample_period > 0 and tracer is None and attribution is None \
-            and metrics is None and sampler is None:
+    if config.sample_period > 0 and not observers:
         from .sampling import simulate_sampled
 
         return simulate_sampled(trace, config, max_cycles=max_cycles,
                                 phase_hook=phase_hook)
-    pipeline = Pipeline(
-        trace, config, tracer=tracer, attribution=attribution,
-        metrics=metrics, sampler=sampler,
-    )
-    return pipeline.run(max_cycles=max_cycles)
+    return Pipeline(trace, config, observers=observers).run(
+        max_cycles=max_cycles)

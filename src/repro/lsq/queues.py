@@ -59,9 +59,8 @@ class LoadStoreUnit:
         self.forwards = 0
         self.violations = 0
         self.searches = 0
-        #: nullable telemetry sinks; the pipeline wires its own here
-        self.tracer = None
-        self.metrics = None
+        #: nullable observer fan-out; the pipeline wires its own here
+        self.observe = None
 
     # ------------------------------------------------------------------
     # allocation (dispatch)
@@ -96,8 +95,6 @@ class LoadStoreUnit:
     def load_executing(self, seq: int, addr: int, cycle: int) -> ForwardResult:
         """A load's address is ready: search the SQ for a forwarding source."""
         self.searches += 1
-        if self.metrics is not None:
-            self.metrics.count("lsq.searches")
         entry = self._loads[seq]
         entry.addr = addr
         best: Optional[StoreEntry] = None
@@ -107,10 +104,8 @@ class LoadStoreUnit:
                     best = store
         if best is not None:
             self.forwards += 1
-            if self.metrics is not None:
-                self.metrics.count("lsq.forwards")
-            if self.tracer is not None:
-                self.tracer.emit(cycle, seq, "forward", f"from:{best.seq}")
+            if self.observe is not None:
+                self.observe.on_event(cycle, seq, "forward", f"from:{best.seq}")
             # data may not be produced yet; forwarding completes then
             ready = best.data_ready if best.data_ready is not None else None
             return ForwardResult(forwarded=True, ready_cycle=ready, source_seq=best.seq)
@@ -145,11 +140,9 @@ class LoadStoreUnit:
         ]
         if violators:
             self.violations += len(violators)
-            if self.metrics is not None:
-                self.metrics.count("lsq.violations", len(violators))
-            if self.tracer is not None:
+            if self.observe is not None:
                 for load_seq in violators:
-                    self.tracer.emit(
+                    self.observe.on_event(
                         cycle, load_seq, "violation", f"store:{seq}"
                     )
         return sorted(violators)

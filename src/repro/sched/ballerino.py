@@ -143,8 +143,8 @@ class BallerinoScheduler(SchedulerBase):
             self.outcomes[f"alloc_{suffix}"] += 1
         else:
             self.outcomes[f"stall_{suffix}"] += 1
-        if self.metrics is not None:
-            self.metrics.count(f"sched.steer.{decision.outcome}_{suffix}")
+        if self.observe is not None:
+            self.observe.on_count(f"sched.steer.{decision.outcome}_{suffix}")
 
     def _apply_steer(self, ifop: InFlightOp, decision: SteerDecision) -> None:
         piq = self.piqs[decision.target]

@@ -46,7 +46,7 @@ class SchedulerBase:
         self.core = core
         self.energy = core.energy
         # getattr: unit tests drive schedulers with stripped-down fake cores
-        self.metrics = getattr(core, "metrics", None)
+        self.observe = getattr(core, "observe", None)
 
     # -- telemetry -----------------------------------------------------
     def trace_steer(self, ifop: InFlightOp, cause: str) -> None:
@@ -54,14 +54,8 @@ class SchedulerBase:
 
         ``cause`` names the movement, e.g. ``dc->piq3.0`` or ``pass->q2``.
         """
-        tracer = getattr(self.core, "tracer", None)
-        if tracer is not None:
-            tracer.emit(self.core.cycle, ifop.seq, "steer", cause)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a hardware counter (no-op when metrics are off)."""
-        if self.metrics is not None:
-            self.metrics.count(name, n)
+        if self.observe is not None:
+            self.observe.on_event(self.core.cycle, ifop.seq, "steer", cause)
 
     # -- dispatch ------------------------------------------------------
     def can_accept(self, ifop: InFlightOp) -> bool:

@@ -99,8 +99,8 @@ class CESScheduler(SchedulerBase):
             self.outcomes[f"alloc_{suffix}"] += 1
         else:
             self.outcomes[f"stall_{suffix}"] += 1
-        if self.metrics is not None:
-            self.metrics.count(f"sched.steer.{decision.outcome}_{suffix}")
+        if self.observe is not None:
+            self.observe.on_count(f"sched.steer.{decision.outcome}_{suffix}")
 
     def can_accept(self, ifop: InFlightOp) -> bool:
         decision = self._decide(ifop, self.core.cycle)

@@ -1,8 +1,8 @@
 """Observability: cycle-level tracing, stall attribution, trace export.
 
-Opt-in instrumentation for the simulator.  Construct a
-:class:`Tracer` and/or :class:`StallAttribution` and hand them to the
-:class:`~repro.core.pipeline.Pipeline`::
+Opt-in instrumentation for the simulator.  Each instrument is an
+:class:`~repro.core.observe.Observer`; hand any of them, in any order,
+to the :class:`~repro.core.pipeline.Pipeline` as ``observers=[...]``::
 
     from repro import build_trace, config_for
     from repro.core.pipeline import Pipeline
@@ -10,14 +10,13 @@ Opt-in instrumentation for the simulator.  Construct a
 
     tracer, attribution = Tracer(), StallAttribution()
     pipe = Pipeline(build_trace("dotprod", 2000), config_for("ballerino"),
-                    tracer=tracer, attribution=attribution)
+                    observers=[tracer, attribution])
     result = pipe.run()
     write_chrome_trace(tracer, "pipeline.json")
     print(result.stats.stall_cycles)   # sums exactly to result.cycles
 
-When neither is supplied, every hook reduces to a nullable-reference
-check; the measured overhead is below the 3% budget (see
-``docs/observability.md``).
+With no observer, ``pipe.observe`` is ``None`` and every hook reduces
+to one nullable-reference check (see ``docs/observability.md``).
 """
 
 from .attribution import CATEGORIES, OCCUPANCY_KEYS, StallAttribution

@@ -35,10 +35,13 @@ The engine also samples per-cycle occupancy of the major structures
 
 from __future__ import annotations
 
-from typing import Dict, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
+
+from ..core.observe import Observer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import Pipeline
+    from ..core.stats import SimResult
 
 #: Every attribution bucket, in report order.
 CATEGORIES = (
@@ -50,13 +53,13 @@ CATEGORIES = (
 OCCUPANCY_KEYS = ("rob", "sched", "decode_queue", "lq", "sq")
 
 
-class StallAttribution:
+class StallAttribution(Observer):
     """Per-cycle stall classifier, fed once per simulated cycle.
 
-    The pipeline calls :meth:`record_cycle` at the end of every cycle
-    (guarded by a nullable reference, like the tracer) and notifies the
-    engine of recovery windows and dispatch backpressure via
-    :meth:`note_recovery` / :meth:`note_dispatch_block`.
+    An observer: :meth:`on_cycle` classifies each cycle, with recovery
+    windows and dispatch backpressure from :meth:`on_recovery` /
+    :meth:`on_dispatch_block`; :meth:`on_finalize` writes the totals
+    onto ``SimResult.stats.stall_cycles`` / ``.occupancy``.
     """
 
     __slots__ = ("cycles", "_occupancy", "samples",
@@ -70,17 +73,16 @@ class StallAttribution:
         self._dispatch_block: str = ""
 
     # -- pipeline notifications ---------------------------------------
-    def note_recovery(self, resume_cycle: int) -> None:
-        """Fetch is stalled until ``resume_cycle`` repairing speculation."""
+    def on_recovery(self, resume_cycle: int,
+                    squashed: Optional[int] = None) -> None:
         if resume_cycle > self._recovery_until:
             self._recovery_until = resume_cycle
 
-    def note_dispatch_block(self, reason: str) -> None:
-        """Dispatch hit backpressure this cycle (iq/rob/lq/sq full)."""
+    def on_dispatch_block(self, reason: str) -> None:
         self._dispatch_block = reason
 
     # -- per-cycle sampling -------------------------------------------
-    def record_cycle(self, pipe: "Pipeline", committed: bool) -> None:
+    def on_cycle(self, pipe: "Pipeline", committed: bool) -> None:
         self.samples += 1
         occ = self._occupancy
         occ["rob"] += len(pipe.rob)
@@ -115,15 +117,13 @@ class StallAttribution:
         return "not_ready"
 
     # -- reporting -----------------------------------------------------
+    def on_finalize(self, pipe: "Pipeline", result: "SimResult") -> None:
+        """Write the category totals and mean per-cycle occupancies."""
+        total = self.samples or 1
+        result.stats.stall_cycles = self.totals()
+        result.stats.occupancy = {
+            k: round(v / total, 2) for k, v in self._occupancy.items()}
+
     def totals(self) -> Dict[str, int]:
         """Category -> cycles; values sum to the sampled cycle count."""
         return dict(self.cycles)
-
-    def fractions(self) -> Dict[str, float]:
-        total = self.samples or 1
-        return {k: v / total for k, v in self.cycles.items()}
-
-    def occupancy_averages(self) -> Dict[str, float]:
-        """Structure -> mean per-cycle occupancy."""
-        total = self.samples or 1
-        return {k: round(v / total, 2) for k, v in self._occupancy.items()}

@@ -1,16 +1,15 @@
 """Hardware-counter metrics registry and interval time-series sampling.
 
-Two opt-in instruments, built on the same null-object pattern as
-:class:`~repro.telemetry.tracer.Tracer`: the pipeline (and every
-scheduler, the LSQ and the rename unit) holds a nullable reference and
-every hook is guarded by a single ``is not None`` check, so the
-disabled cost is one branch per site.
+Two opt-in instruments, both observers (:mod:`repro.core.observe`):
+the pipeline, the schedulers and the LSQ guard every hook on one
+nullable reference, so the disabled cost is one branch per site.
 
 * :class:`MetricsRegistry` — a flat namespace of named **counters**
   (monotonic event counts: ops committed, dispatch blocks by reason,
   steering outcomes, store-forwards), **gauges** (last-written level)
   and **histograms** (distributions over fixed bucket bounds, e.g.
-  squash depths).  ``registry.count(name)`` is the one-liner used on
+  squash depths).  Counters the core already keeps are added once, at
+  the end of a run.  ``registry.count(name)`` is the one-liner used on
   hot paths; :meth:`MetricsRegistry.snapshot` renders everything to a
   plain dict for JSON/CSV export.
 
@@ -36,8 +35,11 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Union
 
+from ..core.observe import Observer
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import Pipeline
+    from ..core.stats import SimResult
 
 #: Default histogram bucket upper bounds (powers of two; an implicit
 #: overflow bucket catches everything above the last bound).
@@ -129,7 +131,7 @@ class HistogramMetric:
 Metric = Union[CounterMetric, GaugeMetric, HistogramMetric]
 
 
-class MetricsRegistry:
+class MetricsRegistry(Observer):
     """Named hardware-style counters/gauges/histograms for one run.
 
     Metrics are created lazily on first touch (``counter(name)`` is
@@ -174,6 +176,37 @@ class MetricsRegistry:
             metric = self._metrics[name] = CounterMetric(name)
         metric.value += n
 
+    # -- observing a pipeline ------------------------------------------
+    on_count = count
+
+    def on_dispatch_block(self, reason: str) -> None:
+        self.count(f"pipeline.dispatch_block.{reason}")
+
+    def on_recovery(self, resume_cycle: int,
+                    squashed: Optional[int] = None) -> None:
+        if squashed is not None:
+            self.observe("pipeline.squash_depth", squashed)
+
+    def on_finalize(self, pipe: "Pipeline", result: "SimResult") -> None:
+        """Add the counters the core already keeps (non-zero ones only,
+        as if counted inline, so snapshots keep the same keys)."""
+        stats, lsu, rename = pipe.stats, pipe.lsu, pipe.rename
+        for name, n in (
+            ("pipeline.fetch_ops", stats.fetched),
+            ("pipeline.dispatch_ops", stats.energy_events["dispatch"]),
+            ("pipeline.issue_ops", stats.issued),
+            ("pipeline.commit_ops", stats.committed),
+            ("pipeline.branch_mispredicts", stats.branch_mispredicts),
+            ("pipeline.squashes", stats.flushes),
+            ("lsq.searches", lsu.searches),
+            ("lsq.forwards", lsu.forwards),
+            ("lsq.violations", lsu.violations),
+            ("rename.renames", rename.renames),
+            ("rename.recovered", rename.recovered),
+        ):
+            if n:
+                self.count(name, n)
+
     def observe(self, name: str, value: float) -> None:
         metric = self._metrics.get(name)
         if metric is None:
@@ -207,11 +240,11 @@ class MetricsRegistry:
                 for name in sorted(self._metrics)}
 
 
-class IntervalSampler:
+class IntervalSampler(Observer):
     """Every-N-cycles time-series snapshots of a running pipeline.
 
-    The pipeline calls :meth:`tick` once per cycle (after the cycle
-    counter advances) and :meth:`finalize` after the run loop, which
+    The pipeline calls :meth:`on_tick` once per cycle (after the cycle
+    counter advances) and :meth:`on_finalize` after the run loop, which
     takes one tail sample covering the final partial interval — unless
     the run ended exactly on a boundary, in which case the series is
     already complete.  Samples are plain dicts (see :meth:`_take`).
@@ -228,7 +261,7 @@ class IntervalSampler:
         self._prev_stalls: Dict[str, int] = {}
         self._prev_sched: Dict[str, float] = {}
 
-    def tick(self, pipe: "Pipeline") -> None:
+    def on_tick(self, pipe: "Pipeline") -> None:
         if pipe.cycle >= self._next:
             self._take(pipe)
             # advance along the fixed grid (multiples of ``interval``):
@@ -244,14 +277,19 @@ class IntervalSampler:
         if not self.samples or self.samples[-1]["cycle"] != pipe.cycle:
             self._take(pipe)
 
+    def on_finalize(self, pipe: "Pipeline", result: "SimResult") -> None:
+        self.finalize(pipe)
+        result.interval_samples = self.samples
+        result.sample_interval = self.interval
+
     def take(self, pipe: "Pipeline") -> Dict[str, object]:
         """Take one explicit sample now, off the periodic grid.
 
         Used by the sampled-simulation driver
         (:mod:`repro.core.sampling`) to bracket measured windows: the
         delta fields of the returned sample then cover exactly the
-        stretch since the previous take.  Does not move :meth:`tick`'s
-        grid.
+        stretch since the previous take.  Does not move the
+        :meth:`on_tick` grid.
         """
         self._take(pipe)
         return self.samples[-1]

@@ -1,10 +1,11 @@
 """Cycle-level pipeline event bus.
 
 The pipeline, the schedulers, and the load/store unit publish per-µop
-lifecycle events here.  Every publisher holds a *nullable* tracer
-reference and guards each emission with ``if tracer is not None``, so the
-instrumentation costs one attribute load and a branch when tracing is off
-— measured well under the 3% budget.
+lifecycle events through the core's one observer plane
+(:mod:`repro.core.observe`); :class:`Tracer` is the observer that keeps
+them.  Every publisher guards on the *nullable* ``observe`` reference,
+so the instrumentation costs one attribute load and a branch when no
+observer is attached.
 
 Event taxonomy
 --------------
@@ -43,7 +44,13 @@ sequence number; exporters split attempts at each ``fetch`` event.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, TYPE_CHECKING
+
+from ..core.observe import Observer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.pipeline import Pipeline
+    from ..core.stats import SimResult
 
 #: Canonical per-µop lifecycle order (used by exporters and tests).
 LIFECYCLE = (
@@ -74,12 +81,13 @@ class OpInfo(NamedTuple):
     opcode: str
 
 
-class Tracer:
+class Tracer(Observer):
     """Append-only event log plus a µop fact table.
 
-    Publishers call :meth:`emit`; the pipeline additionally calls
-    :meth:`note_op` once per fetch so exporters can label rows.  Events
-    arrive in simulation order (cycle-major, pipeline-phase minor).
+    Events arrive through :meth:`on_event` in simulation order
+    (cycle-major, pipeline-phase minor).  At the end of the run the
+    tracer fills :attr:`ops` from the trace for every µop it saw, so
+    exporters can label rows (a µop's seq is its trace index).
     """
 
     __slots__ = ("events", "ops")
@@ -88,12 +96,16 @@ class Tracer:
         self.events: List[TraceEvent] = []
         self.ops: Dict[int, OpInfo] = {}
 
-    # -- publishing ----------------------------------------------------
-    def note_op(self, seq: int, pc: int, opcode: str) -> None:
-        self.ops[seq] = OpInfo(seq, pc, opcode)
-
-    def emit(self, cycle: int, seq: int, stage: str, cause: str = "") -> None:
+    # -- observing -----------------------------------------------------
+    def on_event(self, cycle: int, seq: int, stage: str,
+                 cause: str = "") -> None:
         self.events.append(TraceEvent(cycle, seq, stage, cause))
+
+    def on_finalize(self, pipe: "Pipeline", result: "SimResult") -> None:
+        trace = pipe.trace
+        for seq in self.seqs():
+            op = trace[seq]
+            self.ops[seq] = OpInfo(seq, op.pc, op.opcode.name)
 
     # -- querying ------------------------------------------------------
     def __len__(self) -> int:

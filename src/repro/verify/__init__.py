@@ -6,7 +6,7 @@ The subsystem has five parts (see docs/correctness.md):
 * :mod:`repro.verify.oracle` — differential oracle comparing every
   scheduler config against the functional executor;
 * :mod:`repro.verify.invariants` — per-cycle microarchitectural
-  invariant checks (enabled with ``CoreConfig.check_invariants``);
+  invariant checks (enabled with ``Pipeline(..., check_invariants=True)``);
 * :mod:`repro.verify.shrink` — ddmin-style failure minimiser;
 * :mod:`repro.verify.chaos` — fault-injection harness for the
   fault-tolerant campaign runner (see docs/robustness.md).

@@ -2,7 +2,7 @@
 
 :func:`check_pipeline` is called once per simulated cycle by
 :meth:`Pipeline._assert_invariants` when the pipeline runs with
-``check_invariants`` enabled (ctor flag or ``CoreConfig.check_invariants``).
+``check_invariants=True`` (a :class:`~repro.core.pipeline.Pipeline` flag).
 It layers *cross*-structure checks on top of the per-structure
 ``check_invariants`` / ``debug_check`` hooks:
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import FIG11_ARCHES, config_for
+from ..core.observe import Observer
 from ..core.pipeline import Pipeline, SimulationDeadlock
 from ..isa.instruction import DynOp
 from ..isa.registers import NUM_ARCH_REGS, ZERO, reg_name
@@ -57,6 +58,17 @@ class Failure:
 
     def __str__(self) -> str:
         return f"[{self.arch}] {self.kind}: {self.detail}"
+
+
+class CommitLog(Observer):
+    """The committed DynOps in commit order: the oracle's observable."""
+
+    def __init__(self, trace):
+        self.trace, self.ops = trace, []
+
+    def on_event(self, cycle, seq, stage, cause=""):
+        if stage == "commit":
+            self.ops.append(self.trace[seq])
 
 
 class ReplayMismatch(AssertionError):
@@ -207,12 +219,12 @@ def check_arch(
     max_cycles: int = 5_000_000,
 ) -> Optional[Failure]:
     """Run one scheduler config against the reference; None when clean."""
+    commits = CommitLog(trace)
     pipe = Pipeline(
         trace,
         config_for(arch, width),
         check_invariants=check_invariants,
-        record_commits=True,
-        attribution=StallAttribution(),
+        observers=[commits, StallAttribution()],
     )
     try:
         result = pipe.run(max_cycles=max_cycles)
@@ -225,7 +237,7 @@ def check_arch(
             arch=arch, kind="crash",
             detail=f"{type(exc).__name__}: {exc}",
         )
-    seqs = [op.seq for op in pipe.commit_log]
+    seqs = [op.seq for op in commits.ops]
     if seqs != list(range(len(trace))):
         return Failure(
             arch=arch, kind="commit_stream",
@@ -240,7 +252,7 @@ def check_arch(
             ),
         )
     try:
-        got_regs, got_mem = replay_commits(program, pipe.commit_log)
+        got_regs, got_mem = replay_commits(program, commits.ops)
     except ReplayMismatch as exc:
         return Failure(arch=arch, kind="arch_state", detail=str(exc))
     diff = _diff_state(ref_regs, ref_mem, got_regs, got_mem)

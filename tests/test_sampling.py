@@ -288,7 +288,7 @@ class TestDispatch:
 
         trace = get_trace("histogram", 1000, SEED)
         config = with_sampling(config_for("ooo"), period=500, window=200)
-        result = simulate(trace, config, metrics=MetricsRegistry())
+        result = simulate(trace, config, observers=[MetricsRegistry()])
         assert result.sampled is False  # per-cycle hooks need full detail
 
     def test_build_simulation_picks_driver(self):

@@ -22,8 +22,8 @@ from repro.workloads.suite import SUITE_NAMES
 def traced_run(workload, arch, ops=1200):
     trace = build_trace(workload, target_ops=ops)
     tracer, attribution = Tracer(), StallAttribution()
-    result = simulate(trace, config_for(arch), tracer=tracer,
-                      attribution=attribution)
+    result = simulate(trace, config_for(arch),
+                      observers=[tracer, attribution])
     return result, tracer, attribution
 
 
@@ -74,7 +74,7 @@ class TestStallAttribution:
     def test_categories_sum_to_total_cycles(self, arch, workload):
         trace = build_trace(workload, target_ops=600)
         attribution = StallAttribution()
-        result = simulate(trace, config_for(arch), attribution=attribution)
+        result = simulate(trace, config_for(arch), observers=[attribution])
         stalls = result.stats.stall_cycles
         assert set(stalls) == set(CATEGORIES)
         assert sum(stalls.values()) == result.cycles
@@ -103,8 +103,8 @@ class TestDisabledTracer:
         trace = build_trace("histogram", target_ops=1500)
         config = config_for("ballerino")
         plain = Pipeline(trace, config).run()
-        traced = simulate(trace, config, tracer=Tracer(),
-                          attribution=StallAttribution())
+        traced = simulate(trace, config,
+                          observers=[Tracer(), StallAttribution()])
         assert plain.cycles == traced.cycles
         assert plain.stats.committed == traced.stats.committed
         assert plain.stats.energy_events == traced.stats.energy_events
@@ -115,8 +115,9 @@ class TestDisabledTracer:
     def test_pipeline_defaults_to_no_tracer(self):
         trace = build_trace("dotprod", target_ops=300)
         pipe = Pipeline(trace, config_for("ooo"))
-        assert pipe.tracer is None and pipe.attribution is None
-        assert pipe.lsu.tracer is None
+        assert pipe.observe is None and pipe.attribution is None
+        assert pipe.lsu.observe is None
+        assert pipe.scheduler.observe is None
 
 
 class TestExporters:
@@ -199,7 +200,7 @@ class TestCacheSchemaVersion:
         # a result with telemetry fields survives the disk cache intact
         trace = build_trace("dotprod", target_ops=400)
         attribution = StallAttribution()
-        result = simulate(trace, config_for("ooo"), attribution=attribution)
+        result = simulate(trace, config_for("ooo"), observers=[attribution])
         from repro.core.stats import SimResult
 
         restored = SimResult.from_dict(
