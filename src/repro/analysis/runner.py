@@ -30,13 +30,6 @@ Environment knobs:
 * ``REPRO_BENCH_TIMEOUT`` — per-task wall-clock timeout in seconds
   (default 0 = no timeout).
 * ``REPRO_BENCH_RETRIES`` — attempts after the first failure (default 2).
-* ``REPRO_LOCKSTEP`` — "0" disables the lock-step batching tier (default
-  on): serial batches group uncached cells by (workload, seed) and run
-  each group's configs through :func:`repro.core.lockstep.run_lockstep`,
-  decoding the shared trace once and advancing all pipelines in one
-  pass.  Results are bit-identical to per-cell execution (the golden
-  equivalence test pins this); the knob exists for A/B measurement and
-  as an escape hatch.
 * ``REPRO_RUN_LOG`` — path of a JSONL campaign run-log (see
   :mod:`repro.telemetry.runlog`); empty/unset disables it.
 * ``REPRO_SPANS`` — path of a spans-JSONL trace file (see
@@ -53,6 +46,7 @@ import math
 import os
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -71,7 +65,6 @@ DEFAULT_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
 DEFAULT_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 DEFAULT_TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "0"))
 DEFAULT_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "2"))
-DEFAULT_LOCKSTEP = os.environ.get("REPRO_LOCKSTEP", "1") != "0"
 
 #: Base delay (seconds) for the exponential pool-respawn backoff.
 BACKOFF_BASE = 0.1
@@ -83,6 +76,10 @@ Task = Union[
     Tuple[str, CoreConfig],
     Tuple[str, CoreConfig, Optional[int]],
 ]
+#: One resolved cell: (workload, config, seed).
+Triple = Tuple[str, CoreConfig, int]
+#: A failed attempt: (kind, error, deadlock snapshot).
+Failure = Tuple[str, str, Dict]
 
 
 @dataclass
@@ -124,6 +121,23 @@ class FailedResult:
             "attempts": self.attempts,
             "snapshot": self.snapshot,
         }
+
+
+@dataclass
+class _Batch:
+    """One batch's uncached cells, work queue and retry budget.
+
+    ``queue`` holds ``(key, attempt)`` entries, seeded with every
+    pending cell at attempt 0; :meth:`ExperimentRunner._settle` puts a
+    failed cell back at its next attempt while ``retries`` allow.
+    """
+
+    pending: Dict[str, Triple]
+    retries: int
+    queue: Deque[Tuple[str, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.queue = deque((key, 0) for key in self.pending)
 
 
 def _atomic_write_json(path: Path, payload: Dict) -> None:
@@ -197,8 +211,6 @@ class ExperimentRunner:
         cache_dir: On-disk result cache ("" disables it; ``None`` uses
             ``$REPRO_BENCH_CACHE`` or the repo-local ``.bench_cache``).
         jobs: Default worker count for :meth:`run_many`.
-        lockstep: Whether serial batches use the lock-step multi-config
-            tier (``None`` reads ``$REPRO_LOCKSTEP``, default on).
         task_timeout: Per-task wall-clock timeout (seconds) for parallel
             batches; ``None``/0 disables it.
         retries: Extra attempts a failing cell gets before quarantine.
@@ -227,7 +239,6 @@ class ExperimentRunner:
         seed: int = DEFAULT_SEED,
         cache_dir: Optional[str] = None,
         jobs: Optional[int] = None,
-        lockstep: Optional[bool] = None,
         task_timeout: Optional[float] = None,
         retries: Optional[int] = None,
         run_log: Optional[str] = None,
@@ -240,7 +251,6 @@ class ExperimentRunner:
         self.target_ops = target_ops
         self.seed = seed
         self.jobs = max(1, DEFAULT_JOBS if jobs is None else jobs)
-        self.lockstep = DEFAULT_LOCKSTEP if lockstep is None else lockstep
         self.task_timeout = (
             (DEFAULT_TIMEOUT or None) if task_timeout is None
             else (task_timeout or None)
@@ -297,6 +307,15 @@ class ExperimentRunner:
         if self.run_log is not None:
             self.run_log.log(event, **fields)
 
+    def _log_cell(self, event: str, key: str, triple: Triple,
+                  **fields) -> None:
+        """Log one cell lifecycle record: the cell's identity + ``fields``."""
+        if self.run_log is not None:
+            workload, config, seed = triple
+            self.run_log.log(event, key=key, workload=workload,
+                             config=config.name, seed=seed, **fields,
+                             **self._cell_trace(key))
+
     def _cell_trace(self, key: str) -> Dict[str, str]:
         """Trace-correlation fields for one cell's lifecycle events.
 
@@ -320,15 +339,51 @@ class ExperimentRunner:
             return {}
         return {"trace_id": parent.trace_id, "span_id": parent.span_id}
 
-    def _heartbeat(self, done: int, total: int, inflight: int,
-                   queued: int, force: bool = False) -> None:
+    def _cell_context(self, key: str) -> Optional[SpanContext]:
+        """Context of ``key``'s ``cell`` span; None unless spans are on."""
+        parent = self._trace_parent
+        if self.spans is None or parent is None:
+            return None
+        return SpanContext(parent.trace_id,
+                           derive_span_id(parent.trace_id, "cell", key))
+
+    def _child_span(self, name: str, cell: Optional[SpanContext]):
+        """A span under ``cell``, or a no-op context when untraced."""
+        if cell is None:
+            return nullcontext()
+        return self.spans.span(name, parent=cell)
+
+    def _cell_span(self, key: str, triple: Triple, seconds: float = 0.0,
+                   start_t: Optional[float] = None, status: str = "ok",
+                   **attrs) -> None:
+        """Record ``key``'s ``cell`` span, ending now.
+
+        Every path records its cells here: a run spans its last attempt
+        (``seconds``), a lock-step cell its group's shared bracket
+        (``start_t``), and a cache hit or a quarantine is an instant.
+        """
+        cell = self._cell_context(key)
+        if cell is None:
+            return
+        workload, config, seed = triple
+        end_t = time.time()
+        self.spans.record(
+            "cell", parent=self._trace_parent,
+            start_t=end_t - seconds if start_t is None else start_t,
+            end_t=end_t, status=status, span_id=cell.span_id,
+            workload=workload, config=config.name, seed=seed, **attrs)
+
+    def _heartbeat(self, batch: _Batch, inflight: int = 0) -> None:
         """Emit a progress line + run-log record, rate-limited."""
         if self.progress is None and self.run_log is None:
             return
         now = time.monotonic()
-        if not force and now - self._last_heartbeat < self.heartbeat_interval:
+        if now - self._last_heartbeat < self.heartbeat_interval:
             return
         self._last_heartbeat = now
+        total, queued = len(batch.pending), len(batch.queue)
+        done = sum(1 for key in batch.pending
+                   if key in self._memory or key in self.quarantined)
         elapsed = max(time.perf_counter() - self._campaign_t0, 1e-9)
         rate = done / elapsed
         eta = (round((total - done) / rate, 3)
@@ -475,61 +530,79 @@ class ExperimentRunner:
         """Run (or fetch) one simulation.
 
         ``seed`` overrides the runner's workload-data seed for seed-
-        sensitivity studies; the cache distinguishes seeds.
+        sensitivity studies; the cache distinguishes seeds.  Unlike
+        :meth:`run_many`, a failing simulation raises (no retry, no
+        quarantine).
         """
         seed = self.seed if seed is None else seed
         key = self._key(workload, config, seed)
+        triple = (workload, config, seed)
         result = self._fetch_cached(key)
         if result is not None:
-            self._log("cache_hit", key=key, workload=workload,
-                      config=config.name, seed=seed,
-                      **self._cell_trace(key))
+            self._log_cell("cache_hit", key, triple)
             return result
-        self._log("start", key=key, workload=workload, config=config.name,
-                  seed=seed, attempt=0, **self._cell_trace(key))
+        self._log_cell("start", key, triple, attempt=0)
         started = time.perf_counter()
         trace = get_trace(workload, self.target_ops, seed)
         result = simulate(trace, config)
-        self.simulations_run += 1
-        self._store(key, result)
-        self._log("finish", key=key, workload=workload, config=config.name,
-                  seed=seed, attempt=0,
-                  seconds=round(time.perf_counter() - started, 6),
-                  worker=os.getpid(), **self._cell_trace(key))
+        self._settle(_Batch({key: triple}, retries=0), key, 0, result,
+                     time.perf_counter() - started)
         return result
 
     # ------------------------------------------------------------------
-    # failure bookkeeping
+    # cell settlement
     # ------------------------------------------------------------------
-    def _quarantine(self, key: str, triple: Tuple[str, CoreConfig, int],
-                    kind: str, error: str, attempts: int,
-                    snapshot: Optional[Dict] = None) -> FailedResult:
+    def _settle(self, batch: _Batch, key: str, attempt: int,
+                outcome: Union[SimResult, Failure], seconds: float = 0.0,
+                worker: Optional[int] = None,
+                span_start: Optional[float] = None, **span_attrs) -> None:
+        """Settle one attempt at ``key``; every execution path ends here.
+
+        A :class:`SimResult` is merged into the memory and disk caches
+        (so serial, lock-step and pool runs leave identical caches) and
+        gets the cell's one ``finish`` record and one ``cell`` span
+        (``span_attrs`` say which path ran it; ``worker``, the pool
+        process that ran it, tags the span too).  A failure — a ``(kind,
+        error, snapshot)`` triple — is charged against the batch's
+        retry budget: while budget remains the cell goes back on the
+        work queue at its next attempt; a deadlock (deterministic) or an
+        exhausted budget quarantines it as a :class:`FailedResult`.
+        """
+        triple = batch.pending[key]
+        if isinstance(outcome, SimResult):
+            self.simulations_run += 1
+            self._store(key, outcome)
+            self._log_cell("finish", key, triple, attempt=attempt,
+                           seconds=round(seconds, 6),
+                           worker=os.getpid() if worker is None else worker)
+            if worker is not None:
+                span_attrs["worker"] = worker
+            self._cell_span(key, triple, seconds, span_start, **span_attrs)
+            return
+        kind, error, snapshot = outcome
+        if kind != "deadlock" and attempt < batch.retries:
+            self.retries_performed += 1
+            self._log("retry", key=key, attempt=attempt + 1, kind=kind,
+                      error=error, **self._cell_trace(key))
+            batch.queue.append((key, attempt + 1))
+            return
         workload, config, seed = triple
         failed = FailedResult(
             workload=workload, config_name=config.name, seed=seed,
-            kind=kind, error=error, attempts=attempts,
-            snapshot=snapshot or {},
+            kind=kind, error=error, attempts=attempt + 1, snapshot=snapshot,
         )
         self.quarantined[key] = failed
         self.failures.append(failed)
         self._log("quarantine", key=key, kind=kind, error=error,
-                  attempts=attempts, **self._cell_trace(key))
-        if self.spans is not None and self._trace_parent is not None:
-            # instant error span: the live/envelope timing was lost to
-            # the failure, but the derived id still lands the cell in
-            # the merged trace, marked failed
-            now_t = time.time()
-            self.spans.record(
-                "cell", parent=self._trace_parent, start_t=now_t,
-                end_t=now_t, status="error",
-                span_id=derive_span_id(self._trace_parent.trace_id,
-                                       "cell", key),
-                workload=workload, config=config.name, seed=seed,
-                kind=kind, attempts=attempts)
-        return failed
+                  attempts=failed.attempts, **self._cell_trace(key))
+        # instant error span: the attempt's timing was lost to the
+        # failure, but the derived id still lands the cell in the
+        # merged trace, marked failed
+        self._cell_span(key, triple, status="error", kind=kind,
+                        attempts=failed.attempts)
 
     @staticmethod
-    def _classify_failure(exc: BaseException) -> Tuple[str, str, Dict]:
+    def _classify_failure(exc: BaseException) -> Failure:
         if isinstance(exc, SimulationDeadlock):
             return ("deadlock", str(exc), getattr(exc, "snapshot", {}) or {})
         return ("error", f"{type(exc).__name__}: {exc}", {})
@@ -543,12 +616,12 @@ class ExperimentRunner:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # parallel execution
+    # batch execution
     # ------------------------------------------------------------------
     def run_many(self, tasks: Sequence[Task], jobs: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: Optional[int] = None,
-                 lockstep: Optional[bool] = None,
+                 lockstep: bool = True,
                  trace: Optional[SpanContext] = None,
                  ) -> List[Union[SimResult, FailedResult]]:
         """Run (or fetch) a batch of simulations, results in task order.
@@ -577,14 +650,13 @@ class ExperimentRunner:
         bit-identical to per-cell execution; ``lockstep=False`` opts a
         batch out (e.g. for A/B throughput measurement).
 
-        ``jobs`` / ``timeout`` / ``retries`` / ``lockstep`` default to
-        the runner's constructor values.  ``trace`` names the parent
-        span context for this batch (overriding the runner-level
-        ``trace_ctx``): with a recorder attached, cell spans parent
-        directly under it; with neither, a traced batch opens its own
-        ``campaign`` root span.
+        ``jobs`` / ``timeout`` / ``retries`` default to the runner's
+        constructor values.  ``trace`` names the parent span context for
+        this batch (overriding the runner-level ``trace_ctx``): with a
+        recorder attached, cell spans parent directly under it; with
+        neither, a traced batch opens its own ``campaign`` root span.
         """
-        norm: List[Tuple[str, CoreConfig, int]] = []
+        norm: List[Triple] = []
         for task in tasks:
             workload, config = task[0], task[1]
             seed = task[2] if len(task) > 2 and task[2] is not None else self.seed
@@ -593,7 +665,6 @@ class ExperimentRunner:
         jobs = self.jobs if jobs is None else max(1, jobs)
         timeout = self.task_timeout if timeout is None else (timeout or None)
         retries = self.retries if retries is None else max(0, retries)
-        lockstep = self.lockstep if lockstep is None else lockstep
 
         recorder = self.spans
         previous_parent = self._trace_parent
@@ -607,7 +678,7 @@ class ExperimentRunner:
             probe_span = None
             if recorder is not None and parent is not None:
                 probe_span = recorder.start("cache_probe", parent=parent)
-            pending: Dict[str, Tuple[str, CoreConfig, int]] = {}
+            pending: Dict[str, Triple] = {}
             logged_hits = set()
             for key, triple in zip(keys, norm):
                 if key in pending or key in self.quarantined:
@@ -616,18 +687,8 @@ class ExperimentRunner:
                     pending[key] = triple
                 elif key not in logged_hits:
                     logged_hits.add(key)
-                    self._log("cache_hit", key=key, workload=triple[0],
-                              config=triple[1].name, seed=triple[2],
-                              **self._cell_trace(key))
-                    if recorder is not None and parent is not None:
-                        now_t = time.time()
-                        recorder.record(
-                            "cell", parent=parent, start_t=now_t,
-                            end_t=now_t,
-                            span_id=derive_span_id(parent.trace_id,
-                                                   "cell", key),
-                            workload=triple[0], config=triple[1].name,
-                            seed=triple[2], cached=True)
+                    self._log_cell("cache_hit", key, triple)
+                    self._cell_span(key, triple, cached=True)
             if probe_span is not None:
                 recorder.finish(probe_span, tasks=len(norm),
                                 hits=len(logged_hits),
@@ -641,10 +702,11 @@ class ExperimentRunner:
             campaign_started = time.perf_counter()
             self._campaign_t0 = campaign_started
             sims_before, hits_before = self.simulations_run, self.cache_hits
+            batch = _Batch(pending, retries)
             if parallel:
-                self._run_parallel(pending, jobs, timeout, retries)
+                self._run_parallel(batch, jobs, timeout)
             elif pending:
-                self._run_serial(pending, retries, lockstep)
+                self._run_serial(batch, lockstep)
             self._log("campaign_end",
                       seconds=round(time.perf_counter() - campaign_started,
                                     6),
@@ -669,220 +731,120 @@ class ExperimentRunner:
             out.append(result if result is not None else self.quarantined[key])
         return out
 
-    def _finish(self, key: str, result: SimResult) -> None:
-        """Merge one fresh simulation through the unified store path.
+    def _run_serial(self, batch: _Batch, lockstep: bool = True) -> None:
+        """Drain ``batch``'s work queue in process, one attempt at a time.
 
-        Both the serial and the parallel path land here, so the memory
-        and disk caches end up in the identical state either way (the
-        parallel worker's own publish writes the same bytes)."""
-        self.simulations_run += 1
-        self._store(key, result)
-
-    def _run_serial(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-                    retries: int, lockstep: bool = True) -> None:
-        """In-process fallback with the same retry/quarantine semantics.
-
-        With ``lockstep`` (the default), cells sharing a (workload,
-        seed) first go through the lock-step tier as a shared-trace
-        group; whatever that tier could not finish — singleton groups,
-        cells whose pipeline raised a transient error — falls through
-        to the per-cell retry loop below.
+        With ``lockstep``, cells sharing a (workload, seed) first run as
+        shared-trace groups (:meth:`_run_lockstep_tier`); singletons and
+        whatever a group could not finish stay on the queue for this
+        loop.  With span tracing on, each attempt nests ``trace_decode``,
+        ``simulate`` and (sampled configs) ``sim.*`` spans under the
+        cell span.
 
         ``KeyboardInterrupt`` propagates immediately — every cell
-        finished before it is already merged into the cache by
-        :meth:`_finish`, so an interrupted campaign resumes where it
-        stopped."""
-        if lockstep and len(pending) > 1:
-            pending = self._run_lockstep_tier(pending)
-        total = len(pending)
-        recorder, parent = self.spans, self._trace_parent
-        for done, (key, (workload, config, seed)) in enumerate(pending.items()):
-            cell_span = None
-            if recorder is not None and parent is not None:
-                cell_span = recorder.start(
-                    "cell", parent=parent,
-                    span_id=derive_span_id(parent.trace_id, "cell", key),
-                    workload=workload, config=config.name, seed=seed)
-            attempt = 0
-            while True:
-                self._log("start", key=key, workload=workload,
-                          config=config.name, seed=seed, attempt=attempt,
-                          **self._cell_trace(key))
-                started = time.perf_counter()
-                try:
-                    if cell_span is not None:
-                        with recorder.span("trace_decode",
-                                           parent=cell_span):
-                            trace = get_trace(workload, self.target_ops,
-                                              seed)
-                        hook = _phase_span_hook(recorder, cell_span)
-                        with recorder.span("simulate", parent=cell_span):
-                            result = simulate(trace, config,
-                                              phase_hook=hook)
-                        self._finish(key, result)
-                    else:
-                        trace = get_trace(workload, self.target_ops, seed)
-                        self._finish(key, simulate(trace, config))
-                    self._log("finish", key=key, workload=workload,
-                              config=config.name, seed=seed, attempt=attempt,
-                              seconds=round(time.perf_counter() - started, 6),
-                              worker=os.getpid(), **self._cell_trace(key))
-                    if cell_span is not None:
-                        recorder.finish(cell_span, attempts=attempt + 1)
-                    break
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    kind, error, snapshot = self._classify_failure(exc)
-                    attempt += 1
-                    if kind != "deadlock" and attempt <= retries:
-                        self.retries_performed += 1
-                        self._log("retry", key=key, attempt=attempt,
-                                  kind=kind, error=error,
-                                  **self._cell_trace(key))
-                        continue
-                    # the open cell_span is dropped unwritten; the
-                    # quarantine path records the cell's error span
-                    self._quarantine(key, (workload, config, seed), kind,
-                                     error, attempt, snapshot)
-                    break
-            self._heartbeat(done + 1, total, 0, total - done - 1)
+        settled before it is already merged into the cache, so an
+        interrupted campaign resumes where it stopped."""
+        if lockstep and len(batch.pending) > 1:
+            self._run_lockstep_tier(batch)
+        while batch.queue:
+            key, attempt = batch.queue.popleft()
+            workload, config, seed = triple = batch.pending[key]
+            self._log_cell("start", key, triple, attempt=attempt)
+            cell = self._cell_context(key)
+            hook = ({} if cell is None else
+                    {"phase_hook": _phase_span_hook(self.spans, cell)})
+            started = time.perf_counter()
+            try:
+                with self._child_span("trace_decode", cell):
+                    trace = get_trace(workload, self.target_ops, seed)
+                with self._child_span("simulate", cell):
+                    outcome = simulate(trace, config, **hook)
+            except Exception as exc:
+                outcome = self._classify_failure(exc)
+            self._settle(batch, key, attempt, outcome,
+                         time.perf_counter() - started,
+                         attempts=attempt + 1)
+            self._heartbeat(batch)
 
-    def _run_lockstep_tier(
-        self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-    ) -> Dict[str, Tuple[str, CoreConfig, int]]:
+    def _run_lockstep_tier(self, batch: _Batch) -> None:
         """Run multi-config (workload, seed) groups in lock-step.
 
         Each group decodes its trace once and advances every config's
         pipeline in a single pass (:func:`repro.core.lockstep.
-        run_lockstep`).  Completed cells merge through :meth:`_finish`
-        exactly like per-cell runs; a deadlocked cell is quarantined
-        immediately (deadlocks are deterministic — rerunning the same
-        trace/config serially would deadlock again); any other
-        per-pipeline failure is charged one retry and handed back to
-        the per-cell loop.  Returns the cells still owed a result.
-
-        A failure *outside* the per-pipeline boundary (the trace
-        decoder raised, the driver itself failed) leaves the whole
-        group untouched for the per-cell path, which reproduces and
-        classifies the error with its own retry budget.
+        run_lockstep`).  Its cells leave the work queue and settle as
+        attempt 0 through :meth:`_settle`, exactly like per-cell runs,
+        so the retry budget counts the lock-step attempt: a failed cell
+        goes back on the queue at attempt 1, or is quarantined.  A
+        failure *outside* the per-pipeline boundary (the trace decoder
+        raised, the driver itself failed) charges that attempt to every
+        cell of the group.
         """
         groups: Dict[Tuple[str, int], List[str]] = {}
-        for key, (workload, _config, seed) in pending.items():
+        for key, (workload, _config, seed) in batch.pending.items():
             groups.setdefault((workload, seed), []).append(key)
-        remaining = dict(pending)
+        groups = {group: keys for group, keys in groups.items()
+                  if len(keys) > 1}  # singletons have no shared work
+        grouped = {key for keys in groups.values() for key in keys}
+        batch.queue = deque(entry for entry in batch.queue
+                            if entry[0] not in grouped)
         for (workload, seed), group_keys in groups.items():
-            if len(group_keys) < 2:
-                continue  # no shared work to batch
-            configs = [pending[key][1] for key in group_keys]
-            for key, config in zip(group_keys, configs):
-                self._log("start", key=key, workload=workload,
-                          config=config.name, seed=seed, attempt=0,
-                          **self._cell_trace(key))
+            configs = [batch.pending[key][1] for key in group_keys]
+            for key in group_keys:
+                self._log_cell("start", key, batch.pending[key], attempt=0)
             started = time.perf_counter()
             group_start_t = time.time()
             try:
                 trace = get_trace(workload, self.target_ops, seed)
                 outcomes = run_lockstep(trace, configs)
-            except KeyboardInterrupt:
-                raise
             except Exception as exc:
-                self._log("lockstep", workload=workload, seed=seed,
-                          cells=len(group_keys), completed=0,
-                          seconds=round(time.perf_counter() - started, 6))
-                self._log("retry", key=group_keys[0], attempt=1,
-                          kind="error", error=f"{type(exc).__name__}: {exc}",
-                          **self._cell_trace(group_keys[0]))
-                continue
+                outcomes, group_ran = [exc] * len(group_keys), False
+            else:
+                group_ran = True
             seconds = time.perf_counter() - started
-            cell_seconds = round(seconds / len(group_keys), 6)
-            completed = 0
-            recorder, parent = self.spans, self._trace_parent
-            group_end_t = time.time()
-            for key, config, outcome in zip(group_keys, configs, outcomes):
-                if isinstance(outcome, SimResult):
-                    self._finish(key, outcome)
-                    self._log("finish", key=key, workload=workload,
-                              config=config.name, seed=seed, attempt=0,
-                              seconds=cell_seconds, worker=os.getpid(),
-                              **self._cell_trace(key))
-                    if recorder is not None and parent is not None:
-                        # the group ran all cells in one pass; each cell
-                        # span carries the shared wall-clock bracket
-                        recorder.record(
-                            "cell", parent=parent, start_t=group_start_t,
-                            end_t=group_end_t,
-                            span_id=derive_span_id(parent.trace_id,
-                                                   "cell", key),
-                            workload=workload, config=config.name,
-                            seed=seed, lockstep=True)
-                    del remaining[key]
-                    completed += 1
-                elif isinstance(outcome, SimulationDeadlock):
-                    kind, error, snapshot = self._classify_failure(outcome)
-                    self._quarantine(key, (workload, config, seed), kind,
-                                     error, 1, snapshot)
-                    del remaining[key]
-                else:  # transient failure: one attempt charged, fall back
-                    self.retries_performed += 1
-                    self._log("retry", key=key, attempt=1, kind="error",
-                              error=f"{type(outcome).__name__}: {outcome}",
-                              **self._cell_trace(key))
-            if recorder is not None and parent is not None:
-                recorder.record(
-                    "lockstep_group", parent=parent,
-                    start_t=group_start_t, end_t=group_end_t,
-                    workload=workload, seed=seed,
-                    cells=len(group_keys), completed=completed)
-            self.lockstep_groups += 1
-            if self.metrics is not None:
-                self.metrics.count("runner.lockstep_groups")
+            for key, outcome in zip(group_keys, outcomes):
+                if not isinstance(outcome, SimResult):
+                    outcome = self._classify_failure(outcome)
+                self._settle(batch, key, 0, outcome,
+                             seconds / len(group_keys),
+                             span_start=group_start_t, lockstep=True)
+            completed = sum(isinstance(o, SimResult) for o in outcomes)
+            if group_ran:
+                if self.spans is not None and self._trace_parent is not None:
+                    self.spans.record(
+                        "lockstep_group", parent=self._trace_parent,
+                        start_t=group_start_t, end_t=time.time(),
+                        workload=workload, seed=seed,
+                        cells=len(group_keys), completed=completed)
+                self.lockstep_groups += 1
+                if self.metrics is not None:
+                    self.metrics.count("runner.lockstep_groups")
             self._log("lockstep", workload=workload, seed=seed,
                       cells=len(group_keys), completed=completed,
                       seconds=round(seconds, 6))
-        return remaining
 
-    def _run_parallel(self, pending: Dict[str, Tuple[str, CoreConfig, int]],
-                      jobs: int, timeout: Optional[float],
-                      retries: int) -> None:
-        """Fan ``pending`` over a worker pool, surviving worker failures.
+    def _run_parallel(self, batch: _Batch, jobs: int,
+                      timeout: Optional[float]) -> None:
+        """Fan ``batch`` over a worker pool, surviving worker failures.
 
-        Structure: a work queue of (key, attempt) plus an in-flight map
-        of future -> (key, deadline).  Completions merge through
-        :meth:`_finish`; failures either requeue (attempt+1) or
-        quarantine.  A hung task (deadline exceeded) or a broken pool
-        kills every worker, charges an attempt to the in-flight cells,
-        requeues them, and respawns the pool after an exponential
-        backoff.  ``KeyboardInterrupt`` tears the pool down without
-        waiting; the cache keeps everything already merged.
+        Structure: the batch's work queue of (key, attempt) plus an
+        in-flight map of future -> (key, deadline, attempt).  Every
+        outcome — a worker's result or exception, a timeout, a lost
+        worker — settles through :meth:`_settle`.  A hung task
+        (deadline exceeded) or a broken pool kills every worker,
+        charges an attempt to the in-flight cells, requeues them, and
+        respawns the pool after an exponential backoff.
+        ``KeyboardInterrupt`` tears the pool down without waiting; the
+        cache keeps everything already merged.
         """
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
         cache = str(self.cache_dir) if self.cache_dir is not None else ""
-        max_workers = min(jobs, len(pending))
-        queue: Deque[Tuple[str, int]] = deque(
-            (key, 0) for key in pending
-        )
+        max_workers = min(jobs, len(batch.pending))
+        queue = batch.queue
         inflight: Dict[object, Tuple[str, Optional[float], int]] = {}
         pool: Optional[ProcessPoolExecutor] = None
         breaks = 0
-
-        def payload(key: str, attempt: int):
-            workload, config, seed = pending[key]
-            return (workload, config, seed, self.target_ops, cache, key,
-                    attempt)
-
-        def fail_or_requeue(key: str, attempt: int, kind: str, error: str,
-                            snapshot: Optional[Dict] = None) -> None:
-            if kind != "deadlock" and attempt < retries:
-                self.retries_performed += 1
-                self._log("retry", key=key, attempt=attempt + 1,
-                          kind=kind, error=error, **self._cell_trace(key))
-                queue.append((key, attempt + 1))
-            else:
-                self._quarantine(key, pending[key], kind, error,
-                                 attempt + 1, snapshot)
 
         def kill_pool() -> None:
             nonlocal pool
@@ -896,18 +858,24 @@ class ExperimentRunner:
             pool.shutdown(wait=False, cancel_futures=True)
             pool = None
 
-        def abandon_inflight(culprits: Sequence[object]) -> None:
-            """Pool died / was killed: requeue every in-flight cell.
+        def restart_pool(culprits: Sequence[object]) -> None:
+            """Pool died / must be killed: requeue every in-flight cell.
 
             The cells named in ``culprits`` already had their failure
-            charged; the rest get an attempt charged too (the dying
+            settled; the rest get an attempt charged too (the dying
             worker cannot be attributed, so everybody pays one — this
             bounds a kill-looping cell at ``retries`` pool restarts)."""
-            for future, (key, _, attempt) in list(inflight.items()):
+            nonlocal breaks
+            for future, (key, _, attempt) in inflight.items():
                 if future not in culprits:
-                    fail_or_requeue(key, attempt, "worker-lost",
-                                    "worker pool died mid-task")
+                    self._settle(batch, key, attempt, (
+                        "worker-lost", "worker pool died mid-task", {}))
             inflight.clear()
+            kill_pool()
+            breaks += 1
+            self.pool_restarts += 1
+            self._log("pool_restart", restarts=self.pool_restarts)
+            time.sleep(BACKOFF_BASE * (2 ** min(breaks - 1, 6)))
 
         try:
             while queue or inflight:
@@ -915,11 +883,11 @@ class ExperimentRunner:
                     pool = ProcessPoolExecutor(max_workers=max_workers)
                 while queue and len(inflight) < 2 * max_workers:
                     key, attempt = queue.popleft()
-                    workload, config, seed = pending[key]
-                    self._log("submit", key=key, workload=workload,
-                              config=config.name, seed=seed, attempt=attempt,
-                              **self._cell_trace(key))
-                    future = pool.submit(_run_task, payload(key, attempt))
+                    workload, config, seed = triple = batch.pending[key]
+                    self._log_cell("submit", key, triple, attempt=attempt)
+                    future = pool.submit(_run_task, (
+                        workload, config, seed, self.target_ops, cache, key,
+                        attempt))
                     deadline = (time.monotonic() + timeout) if timeout else None
                     inflight[future] = (key, deadline, attempt)
                 done, _ = wait(list(inflight), timeout=_POLL_INTERVAL,
@@ -930,75 +898,39 @@ class ExperimentRunner:
                     try:
                         envelope = future.result()
                     except BrokenProcessPool:
-                        fail_or_requeue(key, attempt, "worker-lost",
-                                        "worker process died (BrokenProcessPool)")
+                        self._settle(batch, key, attempt, (
+                            "worker-lost",
+                            "worker process died (BrokenProcessPool)", {}))
                         broke = True
-                    except KeyboardInterrupt:
-                        raise
                     except Exception as exc:
-                        kind, error, snapshot = self._classify_failure(exc)
-                        fail_or_requeue(key, attempt, kind, error, snapshot)
+                        self._settle(batch, key, attempt,
+                                     self._classify_failure(exc))
                     else:
-                        self._finish(key, SimResult.from_dict(envelope["result"]))
-                        workload, config, seed = pending[key]
-                        self._log("finish", key=key, workload=workload,
-                                  config=config.name, seed=seed,
-                                  attempt=attempt,
-                                  seconds=envelope["seconds"],
-                                  worker=envelope["worker"],
-                                  **self._cell_trace(key))
-                        if self.spans is not None \
-                                and self._trace_parent is not None:
-                            # the worker reported its wall-clock bracket;
-                            # record the cell span on its behalf
-                            parent = self._trace_parent
-                            end_t = time.time()
-                            self.spans.record(
-                                "cell", parent=parent,
-                                start_t=end_t - envelope["seconds"],
-                                end_t=end_t,
-                                span_id=derive_span_id(parent.trace_id,
-                                                       "cell", key),
-                                workload=workload, config=config.name,
-                                seed=seed, worker=envelope["worker"])
-                finished = sum(
-                    1 for k in pending
-                    if k in self._memory or k in self.quarantined
-                )
-                self._heartbeat(finished, len(pending), len(inflight),
-                                len(queue))
+                        self._settle(
+                            batch, key, attempt,
+                            SimResult.from_dict(envelope["result"]),
+                            envelope["seconds"], envelope["worker"])
+                self._heartbeat(batch, len(inflight))
                 if broke:
-                    abandon_inflight(culprits=())
-                    kill_pool()
-                    breaks += 1
-                    self.pool_restarts += 1
-                    self._log("pool_restart", restarts=self.pool_restarts)
-                    time.sleep(BACKOFF_BASE * (2 ** min(breaks - 1, 6)))
+                    restart_pool(culprits=())
                     continue
-                if timeout:
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_, deadline, _) in inflight.items()
-                        if deadline is not None and now > deadline
-                    ]
-                    if expired:
-                        for future in expired:
-                            key, _, attempt = inflight[future]
-                            self.timeouts += 1
-                            self._log("timeout", key=key, attempt=attempt,
-                                      timeout_s=timeout,
-                                      **self._cell_trace(key))
-                            fail_or_requeue(
-                                key, attempt, "timeout",
-                                f"exceeded {timeout:g}s wall-clock timeout")
-                        # a hung worker cannot be cancelled — only killed
-                        abandon_inflight(culprits=expired)
-                        kill_pool()
-                        breaks += 1
-                        self.pool_restarts += 1
-                        self._log("pool_restart", restarts=self.pool_restarts)
-                        time.sleep(BACKOFF_BASE * (2 ** min(breaks - 1, 6)))
+                now = time.monotonic()
+                expired = [
+                    future
+                    for future, (_, deadline, _) in inflight.items()
+                    if deadline is not None and now > deadline
+                ]
+                for future in expired:
+                    key, _, attempt = inflight[future]
+                    self.timeouts += 1
+                    self._log("timeout", key=key, attempt=attempt,
+                              timeout_s=timeout, **self._cell_trace(key))
+                    self._settle(batch, key, attempt, (
+                        "timeout",
+                        f"exceeded {timeout:g}s wall-clock timeout", {}))
+                if expired:
+                    # a hung worker cannot be cancelled — only killed
+                    restart_pool(culprits=expired)
         except KeyboardInterrupt:
             kill_pool()
             raise

@@ -42,7 +42,7 @@ from ..analysis.runner import ExperimentRunner, FailedResult
 from ..core.stats import SimResult
 from ..serve.protocol import Cell, expand_matrix, result_envelope
 from ..serve.resequencer import Resequencer
-from ..telemetry.runlog import read_run_log_tolerant
+from ..telemetry.runlog import read_jsonl
 from ..telemetry.spans import (Span, SpanContext, SpanRecorder,
                                derive_span_id, derive_trace_id, merge_spans,
                                read_spans, spans_to_chrome, write_spans)
@@ -277,13 +277,13 @@ def run_shard(
         task_timeout=task_timeout, retries=retries, progress=progress,
         spans=recorder, trace_ctx=trace_ctx)
     mine = spec.shards()[shard]
-    runner._log("shard_start", shard=shard, of=spec.n_shards,
-                cells=len(mine), salt=spec.salt)
+    runner.run_log.log("shard_start", shard=shard, of=spec.n_shards,
+                       cells=len(mine), salt=spec.salt)
     tasks = [cell.task(spec.seed) for _, cell in mine]
     results = runner.run_many(tasks, jobs=jobs)
     failed = sum(1 for result in results if not result.ok)
-    runner._log("shard_end", shard=shard, of=spec.n_shards,
-                completed=len(results) - failed, failed=failed)
+    runner.run_log.log("shard_end", shard=shard, of=spec.n_shards,
+                       completed=len(results) - failed, failed=failed)
     if recorder is not None:
         recorder.finish(shard_span, completed=len(results) - failed,
                         failed=failed)
@@ -370,7 +370,7 @@ def merge_shards(
             shard_index = int(log_path.stem.split("-")[1])
         except (IndexError, ValueError):
             shard_index = -1  # non-shard log (reconciliation repairs)
-        records, skipped = read_run_log_tolerant(str(log_path))
+        records, skipped = read_jsonl(str(log_path), strict=False)
         merged.skipped_lines += skipped
         merged.shard_records[shard_index] = len(records)
         for record in records:

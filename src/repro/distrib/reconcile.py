@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..analysis.runner import ExperimentRunner
 from ..serve.protocol import Cell
-from ..telemetry.runlog import RunLog, read_run_log_tolerant
+from ..telemetry.runlog import RunLog, read_jsonl
 from ..telemetry.spans import SpanRecorder, derive_span_id
 from .campaign import CampaignSpec, campaign_root_context, make_runner
 
@@ -201,7 +201,7 @@ class Detector:
         quarantined: Dict[str, Dict] = {}
         skipped = 0
         for log_path in sorted(Path(campaign_dir).glob("*.jsonl")):
-            records, bad = read_run_log_tolerant(str(log_path))
+            records, bad = read_jsonl(str(log_path), strict=False)
             skipped += bad
             for record in records:
                 key = record.get("key")
@@ -468,20 +468,18 @@ class RepairScheduler:
                 # nested under this repair round (getattr: the factory
                 # may hand back a duck-typed runner without span hooks)
                 old_spans = getattr(runner, "spans", None)
-                old_ctx = getattr(runner, "trace_ctx", None)
+                traced = {}
                 if round_span is not None:
                     runner.spans = recorder
-                    runner.trace_ctx = round_span.context
-                    runner._trace_parent = round_span.context
+                    traced["trace"] = round_span.context
                 try:
                     runner.run_many([cell.task(self.spec.seed)
-                                     for cell in cells], jobs=self.jobs)
+                                     for cell in cells], jobs=self.jobs,
+                                    **traced)
                 finally:
                     runner.run_log = old_log
                     if round_span is not None:
                         runner.spans = old_spans
-                        runner.trace_ctx = old_ctx
-                        runner._trace_parent = old_ctx
                     runner_log.close()
             diff = self.detector.diff(root)
             round_states = diff.by_state()

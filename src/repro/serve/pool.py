@@ -24,9 +24,8 @@ cells typically share a (workload, seed) — only the config varies — so
 the runner's serial path groups them and advances every config's
 pipeline over the once-decoded trace in a single pass
 (:mod:`repro.core.lockstep`).  Results are bit-identical to per-cell
-execution; ``lockstep=False`` opts the pool out for A/B measurement.
-Raising ``shard_size`` widens the groups (more configs amortise each
-trace decode); shards still bound the unit of loss.
+execution.  Raising ``shard_size`` widens the groups (more configs
+amortise each trace decode); shards still bound the unit of loss.
 
 Gap repair: a shard lost to a crashing worker thread leaves holes in
 its job's sequence space; the failing worker resubmits exactly the
@@ -91,7 +90,6 @@ class WorkerPool:
         repair_limit: int = 2,
         metrics: Optional[MetricsRegistry] = None,
         poll_interval: float = 0.2,
-        lockstep: Optional[bool] = None,
         spans: Optional[SpanRecorder] = None,
     ):
         if shard_size <= 0:
@@ -104,9 +102,6 @@ class WorkerPool:
         self.repair_limit = repair_limit
         self.metrics = metrics
         self.poll_interval = poll_interval
-        #: lock-step batching tier knob, passed through to run_many
-        #: (None defers to the runner / $REPRO_LOCKSTEP)
-        self.lockstep = lockstep
         #: span recorder shared by all workers (thread-safe); each
         #: dispatched job gets a ``job`` span (parented under the
         #: client's submitted trace context when the JobSpec carries
@@ -256,9 +251,7 @@ class WorkerPool:
                 (workload, with_sampling(config, **sampling), seed)
                 for workload, config, seed in tasks
             ]
-        # Forward the lock-step knob only when explicitly set; otherwise
-        # the runner's own default (REPRO_LOCKSTEP) governs.
-        extra = {} if self.lockstep is None else {"lockstep": self.lockstep}
+        extra = {}
         run = shard.run
         shard_span = None
         cell_traces: Dict[int, Dict[str, str]] = {}

@@ -43,7 +43,7 @@ from .prometheus import (
     render_prometheus,
 )
 from .runlog import (EVENT_FIELDS, TRACE_FIELDS, RunLog, read_jsonl,
-                     read_run_log, read_run_log_tolerant, validate_event)
+                     read_run_log, validate_event)
 from .snapshot import capture_snapshot, describe_head, render_snapshot
 from .spans import (
     Span,
@@ -108,7 +108,6 @@ __all__ = [
     "read_chrome_trace",
     "read_jsonl",
     "read_run_log",
-    "read_run_log_tolerant",
     "read_spans",
     "render_prometheus",
     "render_snapshot",

@@ -191,30 +191,11 @@ def read_run_log(path: str,
     """Load a run-log; optionally filter to one event type.
 
     Thin wrapper over :func:`read_jsonl`; ``strict=False`` switches to
-    the damage-tolerant parse (skipped-line count discarded — use
-    :func:`read_run_log_tolerant` to keep it).
+    the damage-tolerant parse (skipped-line count discarded — call
+    ``read_jsonl(path, strict=False)`` to keep it).
     """
     records, _ = read_jsonl(path, strict=strict)
     if event is not None:
         records = [r for r in records
                    if isinstance(r, dict) and r.get("event") == event]
     return records  # type: ignore[return-value]
-
-
-def read_run_log_tolerant(
-    path: str,
-) -> Tuple[List[Dict[str, object]], int]:
-    """Load as much of a (possibly damaged) run-log as parses.
-
-    Unlike :func:`read_run_log` — which only forgives a torn *final*
-    line — this skips any undecodable or non-object line wherever it
-    sits and reports how many were dropped.  The reconciliation
-    detector uses it: a run-log corrupted mid-campaign (chaos, disk
-    faults) must still yield every surviving record, because the holes
-    the corruption tore are exactly what reconciliation goes on to
-    repair from the other two sources (expected matrix + disk cache).
-    Returns ``(records, skipped_lines)``; a thin wrapper over
-    :func:`read_jsonl` with ``strict=False``.
-    """
-    records, skipped = read_jsonl(path, strict=False)
-    return records, skipped  # type: ignore[return-value]

@@ -498,8 +498,8 @@ def shred_log(path: Path, every: int = 3) -> int:
     """Corrupt every ``every``-th line of a run-log in place.
 
     Models a disk fault / dying writer mid-campaign — exactly the
-    damage :func:`~repro.telemetry.runlog.read_run_log_tolerant` must
-    survive and reconciliation must account for.
+    damage :func:`~repro.telemetry.runlog.read_jsonl` (``strict=False``)
+    must survive and reconciliation must account for.
     """
     lines = path.read_text(encoding="utf-8").splitlines()
     shredded = 0

@@ -231,8 +231,8 @@ def test_shred_log_damages_middle_lines(tmp_path):
     path.write_text("\n".join(json.dumps({"n": n}) for n in range(9)) + "\n")
     shredded = shred_log(path, every=3)
     assert shredded == 3
-    from repro.telemetry.runlog import read_run_log_tolerant
+    from repro.telemetry.runlog import read_jsonl
 
-    records, skipped = read_run_log_tolerant(str(path))
+    records, skipped = read_jsonl(str(path), strict=False)
     assert skipped == 3
     assert [r["n"] for r in records] == [1, 2, 4, 5, 7, 8]

@@ -382,15 +382,15 @@ class TestReconcile:
         assert payload["rounds"][0]["repairs"] > 0
 
     def test_reconcile_log_records_lifecycle(self, tmp_path):
-        from repro.telemetry.runlog import read_run_log_tolerant
+        from repro.telemetry.runlog import read_jsonl
 
         camp, cache = paths(tmp_path)
         spec = make_spec()
         spec.save(camp)
         run_shard(spec, 0, camp, cache_dir=cache)
         reconcile_campaign(camp, cache_dir=cache)
-        records, skipped = read_run_log_tolerant(
-            str(camp / "reconcile.jsonl"))
+        records, skipped = read_jsonl(
+            str(camp / "reconcile.jsonl"), strict=False)
         events = [record["event"] for record in records]
         assert skipped == 0
         assert "reconcile_start" in events

@@ -118,13 +118,12 @@ def test_runner_lockstep_tier_equivalent(tmp_path):
         + [("stream_triad", config_for("ooo"))]  # singleton: per-cell path
     )
     batched = ExperimentRunner(
-        target_ops=1000, cache_dir=str(tmp_path / "ls"), jobs=1,
-        lockstep=True, run_log="")
+        target_ops=1000, cache_dir=str(tmp_path / "ls"), jobs=1, run_log="")
     serial = ExperimentRunner(
         target_ops=1000, cache_dir=str(tmp_path / "serial"), jobs=1,
-        lockstep=False, run_log="")
-    got = batched.run_many(tasks)
-    want = serial.run_many(tasks)
+        run_log="")
+    got = batched.run_many(tasks, lockstep=True)
+    want = serial.run_many(tasks, lockstep=False)
     assert batched.lockstep_groups == 2  # histogram x3, mdep_chain x2
     assert serial.lockstep_groups == 0
     for a, b in zip(got, want):
@@ -140,13 +139,12 @@ def test_runner_lockstep_tier_equivalent(tmp_path):
 def test_runner_lockstep_repeat_batch_all_cache_hits(tmp_path):
     """A second identical batch is served entirely from the cache."""
     runner = ExperimentRunner(
-        target_ops=1000, cache_dir=str(tmp_path), jobs=1, lockstep=True,
-        run_log="")
+        target_ops=1000, cache_dir=str(tmp_path), jobs=1, run_log="")
     tasks = [("histogram", config_for(arch)) for arch in ("ooo", "ces")]
-    runner.run_many(tasks)
+    runner.run_many(tasks, lockstep=True)
     sims_before = runner.simulations_run
     groups_before = runner.lockstep_groups
-    runner.run_many(tasks)
+    runner.run_many(tasks, lockstep=True)
     assert runner.simulations_run == sims_before
     assert runner.lockstep_groups == groups_before
 

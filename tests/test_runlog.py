@@ -245,14 +245,14 @@ class TestCacheWarningEvents:
 
 class TestTolerantReader:
     def test_mid_file_corruption_skipped_and_counted(self, tmp_path):
-        from repro.telemetry.runlog import read_run_log_tolerant
+        from repro.telemetry.runlog import read_jsonl
 
         path = tmp_path / "log.jsonl"
         path.write_text('{"event": "heartbeat", "a": 1}\n'
                         '\x00GARBAGE not json\n'
                         '[1, 2, 3]\n'
                         '{"event": "heartbeat", "a": 2}\n')
-        records, skipped = read_run_log_tolerant(str(path))
+        records, skipped = read_jsonl(str(path), strict=False)
         assert skipped == 2  # garbage line + non-object line
         assert [r["a"] for r in records] == [1, 2]
 
@@ -261,18 +261,18 @@ class TestTolerantReader:
 
         import pytest
 
-        from repro.telemetry.runlog import (read_run_log,
-                                            read_run_log_tolerant)
+        from repro.telemetry.runlog import read_jsonl, read_run_log
 
         path = tmp_path / "log.jsonl"
         path.write_text('{"a": 1}\nGARBAGE\n{"a": 2}\n')
         with pytest.raises(json_mod.JSONDecodeError):
             read_run_log(str(path))
-        records, skipped = read_run_log_tolerant(str(path))
+        records, skipped = read_jsonl(str(path), strict=False)
         assert len(records) == 2 and skipped == 1
 
     def test_missing_file_counts_one_skip(self, tmp_path):
-        from repro.telemetry.runlog import read_run_log_tolerant
+        from repro.telemetry.runlog import read_jsonl
 
-        records, skipped = read_run_log_tolerant(str(tmp_path / "no.jsonl"))
+        records, skipped = read_jsonl(str(tmp_path / "no.jsonl"),
+                                      strict=False)
         assert records == [] and skipped == 1
