@@ -6,6 +6,13 @@ this scoreboard replaced.  Any drift means the event-driven wakeup
 changed scheduling behaviour — which is a bug by definition, however
 small the delta.
 
+``tests/golden_results.json`` pins more: a sha256 of each cell's whole
+``SimResult.to_dict()`` (every energy event, ``head_*``/``stall_*``
+steering counter and memory statistic), plus sampled twins of every
+kernel x {ooo, ballerino} at a speed-bearing config with a detailed
+warm-up.  Re-capture it with ``write_golden_results()`` only for a
+deliberate behaviour change.
+
 The ballerino-family cells were re-captured after the fuzzer-found
 scheduler fixes (stale steering reservations, shared P-IQ collapse
 remap, ideal-sharing capacity — see docs/correctness.md): those fixes
@@ -13,6 +20,7 @@ legitimately change steering timing, so cycle counts moved by a few
 cycles on 10 of 84 cells while committed/issued stayed identical.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -21,6 +29,7 @@ import pytest
 from repro.core.config import config_for
 from repro.core.ifop import InFlightOp
 from repro.core.pipeline import Pipeline, simulate
+from repro.core.sampling import with_sampling
 from repro.core.wakeup import WakeupScoreboard
 from repro.isa.instruction import DynOp
 from repro.isa.opcodes import opcode
@@ -29,6 +38,45 @@ from repro.workloads.suite import get_trace
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_stats.json").read_text()
 )
+GOLDEN_RESULTS_PATH = Path(__file__).parent / "golden_results.json"
+GOLDEN_RESULTS = json.loads(GOLDEN_RESULTS_PATH.read_text())
+
+#: sampled twins: period = 10 x window, so most of the trace is
+#: fast-forwarded, and a detailed warm-up before every window
+SAMPLED_KNOBS = {"period": 1000, "window": 100, "warmup": 200}
+SAMPLED_CELLS = sorted(
+    f"{workload}/{arch}"
+    for workload in {cell.split("/")[0] for cell in GOLDEN["results"]}
+    for arch in ("ooo", "ballerino")
+)
+
+
+def result_digest(result) -> str:
+    """sha256 of the whole result as sorted-key JSON."""
+    blob = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _sampled_result(cell):
+    workload, arch = cell.split("/")
+    trace = get_trace(workload, GOLDEN["ops"], GOLDEN["seed"])
+    return simulate(trace, with_sampling(config_for(arch), **SAMPLED_KNOBS))
+
+
+def write_golden_results(path: Path = GOLDEN_RESULTS_PATH) -> None:
+    """Re-capture ``golden_results.json`` from the current simulator."""
+    results = {}
+    for cell in sorted(GOLDEN["results"]):
+        workload, arch = cell.split("/")
+        trace = get_trace(workload, GOLDEN["ops"], GOLDEN["seed"])
+        results[cell] = result_digest(simulate(trace, config_for(arch)))
+    sampled = {cell: result_digest(_sampled_result(cell))
+               for cell in SAMPLED_CELLS}
+    path.write_text(json.dumps({
+        "ops": GOLDEN["ops"], "seed": GOLDEN["seed"],
+        "sampled_knobs": SAMPLED_KNOBS,
+        "results": results, "sampled": sampled,
+    }, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN["results"]))
@@ -42,6 +90,24 @@ def test_matches_polling_golden_stats(cell):
     assert result.stats.issued == expect["issued"], cell
     # golden IPC was rounded to 6 decimals when captured
     assert round(result.ipc, 6) == pytest.approx(expect["ipc"]), cell
+    # ... and every other field of the result, byte for byte
+    assert result_digest(result) == GOLDEN_RESULTS["results"][cell], cell
+
+
+def test_golden_results_cover_the_matrix():
+    assert GOLDEN_RESULTS["ops"] == GOLDEN["ops"]
+    assert GOLDEN_RESULTS["seed"] == GOLDEN["seed"]
+    assert GOLDEN_RESULTS["sampled_knobs"] == SAMPLED_KNOBS
+    assert sorted(GOLDEN_RESULTS["results"]) == sorted(GOLDEN["results"])
+    assert sorted(GOLDEN_RESULTS["sampled"]) == SAMPLED_CELLS
+
+
+@pytest.mark.parametrize("cell", SAMPLED_CELLS)
+def test_sampled_twin_matches_golden_digest(cell):
+    result = _sampled_result(cell)
+    assert result.sampled, cell
+    assert result.sampling["windows"] > 1, cell
+    assert result_digest(result) == GOLDEN_RESULTS["sampled"][cell], cell
 
 
 @pytest.mark.parametrize("arch", ["ooo", "ballerino", "dnb", "fxa", "spq"])
