@@ -6,12 +6,13 @@ stream*.  Simulating them one after another re-pays the per-run fixed
 costs — trace decode, cache warm-up of the interpreter state — once per
 configuration.  :func:`run_lockstep` instead builds N pipelines over
 one already-decoded :class:`~repro.workloads.trace.Trace` and advances
-them round-robin, one cycle each, in a single pass.
+them round-robin, one step each, in a single pass (a step is one cycle,
+or a run of idle cycles the pipeline skips; see ``Pipeline.step``).
 
 Because each :class:`~repro.core.pipeline.Pipeline` owns all of its
 architectural state (in-flight ops, ROB, scheduler, memory hierarchy) and
-only *reads* the shared trace, interleaving cycles cannot change any
-simulation outcome: every pipeline executes exactly the cycles it would
+only *reads* the shared trace, interleaving steps cannot change any
+simulation outcome: every pipeline executes exactly the steps it would
 have executed under ``run()``, in the same order.  Results are
 therefore bit-identical to per-config serial runs — pinned by
 ``tests/test_lockstep.py`` against the golden-stats matrix.

@@ -222,12 +222,13 @@ class Pipeline:
         return self.finalize()
 
     def begin(self, max_cycles: int = 50_000_000,
-              start_cycle: int = 0) -> None:
+              start_cycle: int = 0,
+              horizon: Optional[int] = None) -> None:
         """Arm the per-run bookkeeping so :meth:`step` can be called.
 
         Split out of :meth:`run` so external drivers — notably the
         lock-step multi-config runner (:mod:`repro.core.lockstep`) —
-        can interleave single cycles of many pipelines.  ``run()`` is
+        can interleave the steps of many pipelines.  ``run()`` is
         exactly ``begin()``; ``while step(): pass``; ``finalize()``.
 
         ``start_cycle`` continues a running global clock: the sampled
@@ -235,9 +236,14 @@ class Pipeline:
         whose MSHR/fill/DRAM-row state is keyed on absolute cycles, so
         a window must pick up the clock where fast-forward left it, not
         restart at zero.  ``max_cycles`` stays an absolute ceiling.
+
+        ``horizon`` is a cycle no :meth:`step` skips past: a driver
+        that acts once the clock reaches a given cycle (the sampled
+        driver's end of warm-up) gets a step that lands on it exactly.
         """
         self._total = len(self.trace)
         self._max_cycles = max_cycles
+        self._horizon = horizon
         self._deadlock_cycles = self.config.deadlock_cycles
         self.cycle = start_cycle
         self._last_commit_cycle = start_cycle
@@ -247,7 +253,18 @@ class Pipeline:
         self._issued_before = 0
 
     def step(self) -> bool:
-        """Advance one cycle; False once the whole trace has committed.
+        """Advance one or more cycles; False once the whole trace has
+        committed.
+
+        Runs one cycle's stages.  If that cycle was idle — nothing
+        committed, completed, issued, dispatched, renamed or fetched,
+        nothing squashed, and the scheduler's ``select`` left its
+        window unchanged — the clock then jumps to the next cycle at
+        which anything can act (see :meth:`_skip_idle`), and the
+        skipped cycles' per-cycle scheduler counters are charged in
+        bulk, so every result is identical to stepping them one by one.
+        Runs with observers or ``check_invariants`` step every cycle:
+        their per-cycle hooks and checks need each one.
 
         Raises :class:`DeadlockError` exactly as :meth:`run` does; a
         driver stepping several pipelines catches it per pipeline.
@@ -255,6 +272,10 @@ class Pipeline:
         if self.commit_count >= self._total:
             return False
         before = self.commit_count
+        events = self._events
+        idle = not events or events[0][0] > self.cycle
+        rob_before = len(self.rob._entries)
+        dispatch_before = len(self.dispatch_queue)
         self._commit()
         if self.commit_count != before:
             self._last_commit_cycle = self.cycle
@@ -272,12 +293,19 @@ class Pipeline:
         if stats.fetched != self._fetched_before:
             self._fetched_before = stats.fetched
             self._last_fetch_cycle = self.cycle
+            idle = False
         if stats.issued != self._issued_before:
             self._issued_before = stats.issued
             self._last_issue_cycle = self.cycle
+            idle = False
         self.cycle += 1
         if observe is not None:
             observe.on_tick(self)
+        elif (idle and self.commit_count == before
+              and not self.check_invariants
+              and len(self.rob._entries) == rob_before
+              and len(self.dispatch_queue) == dispatch_before):
+            self._skip_idle()
         deadlock_cycles = self._deadlock_cycles
         if deadlock_cycles and self.cycle - self._last_commit_cycle > deadlock_cycles:
             raise self._deadlock(
@@ -289,6 +317,57 @@ class Pipeline:
         if self.cycle > self._max_cycles:
             raise self._deadlock(f"max_cycles ({self._max_cycles}) exceeded")
         return self.commit_count < self._total
+
+    def _skip_idle(self) -> None:
+        """Jump from the idle cycle just run to the next cycle at which
+        anything can act, charging the skipped selects in bulk.
+
+        After an idle cycle, the stages can only act again at: the next
+        completion event; a time-blocked front end (fetch resuming, the
+        dispatch-queue head ending its rename latency, the decode-queue
+        head ending its fetch latency); an unpipelined FU freeing; or
+        the scheduler's own horizon.  A front-end bound before ``now``
+        means that stage waits on a full structure instead, which only
+        frees once something above acts.  The watchdog and the
+        ``max_cycles`` ceiling (and a driver's ``horizon``, see
+        :meth:`begin`) cap the jump, so they fire at the same cycle
+        with the same snapshot as a per-cycle run.
+        """
+        now = self.cycle
+        target = self._max_cycles + 1
+        events = self._events
+        if events and events[0][0] < target:
+            target = events[0][0]
+        resume = self.fetch_resume_at
+        if now <= resume < target:
+            target = resume
+        if self.dispatch_queue:
+            at = self.dispatch_queue[0][0]
+            if now <= at < target:
+                target = at
+        if self.decode_queue:
+            at = self.decode_queue[0].decode_cycle + self.config.fetch_latency
+            if now <= at < target:
+                target = at
+        at = self.ports.next_fu_release(now)
+        if at is not None and at < target:
+            target = at
+        if self._deadlock_cycles:
+            at = self._last_commit_cycle + self._deadlock_cycles + 1
+            if at < target:
+                target = at
+        at = self._horizon
+        if at is not None and now <= at < target:
+            target = at
+        if target <= now:
+            return
+        # asked last: the cheap bounds above often rule out a skip
+        at = self.scheduler.idle_horizon(now)
+        if at < target:
+            target = at
+        if target > now:
+            self.scheduler.charge_idle(target - now)
+            self.cycle = target
 
     def finalize(self) -> SimResult:
         """Seal the stats and build the :class:`SimResult` (call once)."""

@@ -15,7 +15,7 @@ block their FU for the op's latency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.opcodes import OpClass
 
@@ -114,6 +114,12 @@ class PortFile:
             return False
         busy_until = self._fu_busy.get((port, op_class), 0)
         return busy_until <= cycle
+
+    def next_fu_release(self, now: int) -> Optional[int]:
+        """Earliest cycle ``>= now`` at which a busy unpipelined FU
+        frees, or ``None`` when none is busy then."""
+        return min((until for until in self._fu_busy.values()
+                    if until >= now), default=None)
 
     def grant(self, port: int, op_class: OpClass, cycle: int,
               latency: int, pipelined: bool) -> None:

@@ -244,8 +244,8 @@ class SampledSimulation:
     SimResult`` mirror :class:`~repro.core.pipeline.Pipeline`, so
     :func:`~repro.core.lockstep.run_lockstep` drives sampled and full
     simulations interchangeably.  One ``step()`` advances either one
-    detailed cycle of the current window pipeline or one bounded chunk
-    of fast-forward.
+    step of the current window pipeline (one cycle, or a run of idle
+    cycles it skips) or one bounded chunk of fast-forward.
     """
 
     def __init__(self, trace: Trace, config: CoreConfig,
@@ -385,10 +385,14 @@ class SampledSimulation:
             window_trace, config, scheduler_factory=self._factory,
             frontend=self.frontend, hierarchy=self.hier, mdp=self.mdp,
         )
-        pipe.begin(self._max_cycles, start_cycle=self.cycle)
+        self._warmup_until = self.cycle + config.warmup_cycles
+        # the measure phase starts at the step that reaches
+        # _warmup_until, so no idle-cycle skip may jump past it
+        pipe.begin(self._max_cycles, start_cycle=self.cycle,
+                   horizon=self._warmup_until if config.warmup_cycles
+                   else None)
         self._pipe = pipe
         self._window_start_op = start
-        self._warmup_until = self.cycle + config.warmup_cycles
         self._start_base = _snapshot(pipe)
         self._base: Optional[Dict] = None
         self._sampler = IntervalSampler(1 << 60)  # manual takes only

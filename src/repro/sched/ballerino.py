@@ -25,7 +25,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..core.ifop import InFlightOp
-from .base import SchedulerBase
+from .base import NEVER, SchedulerBase
 from .piq import SharedPIQ
 from .steering import SteerDecision, SteerInfo, SteeringScoreboard
 
@@ -70,6 +70,9 @@ class BallerinoScheduler(SchedulerBase):
             "issue": 0, "wait_mdep": 0, "wait_operand": 0,
             "port_conflict": 0, "empty": 0,
         }
+        #: the last select steered an op out of the S-IQ, so it was not
+        #: idle (see :meth:`idle_horizon`)
+        self._steered = False
 
     # ------------------------------------------------------------------
     # dispatch: everything enters through the S-IQ
@@ -244,6 +247,7 @@ class BallerinoScheduler(SchedulerBase):
         window_len = len(siq)
         if not window_len:
             energy["select_input"] += select_inputs
+            self._steered = False
             return issued
         if window_len > self.siq_window:
             window_len = self.siq_window
@@ -268,7 +272,7 @@ class BallerinoScheduler(SchedulerBase):
         for _ in range(window_len):
             siq.popleft()
         kept: List[InFlightOp] = []
-        blocked = False
+        blocked = steered = False
         for i, op in enumerate(window):
             if issued_mask[i]:
                 continue
@@ -284,9 +288,70 @@ class BallerinoScheduler(SchedulerBase):
                 kept.append(op)
             else:
                 self._apply_steer(op, decision)
+                steered = True
+        self._steered = steered
         for op in reversed(kept):
             self.siq.appendleft(op)
         return issued
+
+    # ------------------------------------------------------------------
+    # idle-cycle skipping
+    # ------------------------------------------------------------------
+    # After an idle select nothing issued, no op was steered and no
+    # partition drained, so every later select repeats it until an op's
+    # readiness changes (a completion or store issue) or an FU frees —
+    # both bounded by the pipeline.  What repeats: each P-IQ examines
+    # the same head(s), the S-IQ head re-runs the same stalled steering
+    # decision, and a sharing, non-ideal P-IQ (both partitions non-empty
+    # once collapse_idle ran) hands its read port to the other chain.
+    def idle_horizon(self, now: int) -> int:
+        if self._steered:
+            return now
+        for piq in self.piqs:
+            if piq.sharing and not piq.ideal:
+                partitions = piq.partitions
+                if not partitions[0] or not partitions[1]:
+                    return now
+                # the head examined next cycle sat behind the read port
+                # this cycle: if ready, it may issue
+                head = partitions[piq.active][0]
+                if not head.wake_pending and not head.mdp_waiting:
+                    return now
+        return NEVER
+
+    def charge_idle(self, cycles: int) -> None:
+        head_states = self.head_states
+        inputs = 0
+        for piq in self.piqs:
+            if not piq.count:
+                head_states["empty"] += cycles
+            elif not piq.sharing:
+                head_states[_head_state(piq.partitions[0][0])] += cycles
+                inputs += 1
+            elif piq.ideal:
+                for queue in piq.partitions:
+                    head_states[_head_state(queue[0])] += cycles
+                inputs += len(piq.partitions)
+            else:
+                # the read port alternates, starting with ``active``
+                active = piq.active
+                first = (cycles + 1) // 2
+                head_states[_head_state(piq.partitions[active][0])] += first
+                head_states[
+                    _head_state(piq.partitions[1 - active][0])
+                ] += cycles - first
+                if cycles % 2:
+                    piq.active = 1 - active
+                inputs += 1
+        siq = self.siq
+        if siq:
+            inputs += min(len(siq), self.siq_window)
+            # the stalled S-IQ head re-runs _decide every cycle
+            head = siq[0]
+            self.energy["pscb_read"] += max(1, len(head.src_pregs)) * cycles
+            ready = not head.wake_pending and not head.mdp_waiting
+            self.outcomes["stall_ready" if ready else "stall_nonready"] += cycles
+        self.energy["select_input"] += inputs * cycles
 
     def on_wakeup(self, preg: int, cycle: int) -> None:
         # completions are observed only by the P-IQ heads + S-IQ window
@@ -339,3 +404,12 @@ class BallerinoScheduler(SchedulerBase):
             piq.share_activations for piq in self.piqs
         )
         return stats
+
+
+def _head_state(head: InFlightOp) -> str:
+    """The ``head_states`` bucket of a head examined without issuing."""
+    if head.wake_pending:
+        return "wait_operand"
+    if head.mdp_waiting:
+        return "wait_mdep"
+    return "port_conflict"

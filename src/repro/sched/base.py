@@ -11,7 +11,10 @@ pipeline calls:
 * :meth:`on_op_ready` when a specific op's *last* outstanding dependence
   resolves (event-driven wakeup; lets windowed schedulers maintain
   their ready-set incrementally instead of re-polling every entry);
-* :meth:`flush_from` on a squash.
+* :meth:`flush_from` on a squash;
+* :meth:`idle_horizon` / :meth:`charge_idle` after a cycle in which
+  nothing moved anywhere in the core, so the pipeline can jump its
+  clock over the cycles in which ``select`` would only repeat itself.
 
 Schedulers record their energy-relevant activity into ``core.energy``
 (a Counter) using these event names:
@@ -35,6 +38,10 @@ from ..core.ifop import InFlightOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.pipeline import Pipeline
+
+#: :meth:`SchedulerBase.idle_horizon` of a window that stays idle until
+#: something outside it changes (a completion, a dispatch, a free FU)
+NEVER = 1 << 62
 
 
 class SchedulerBase:
@@ -85,6 +92,26 @@ class SchedulerBase:
 
     def on_complete(self, ifop: InFlightOp, cycle: int) -> None:
         """An op finished execution (training hook, e.g. delay trackers)."""
+
+    # -- idle-cycle skipping -------------------------------------------
+    def idle_horizon(self, now: int) -> int:
+        """Earliest cycle ``>= now`` at which ``select`` may act again.
+
+        Called at the end of an idle cycle ``now - 1``: nothing
+        committed, completed, issued, dispatched, renamed or fetched.
+        Until the returned cycle (and until the next completion event,
+        dispatch or FU release, which the pipeline bounds itself),
+        every ``select`` must issue nothing, leave the window unchanged
+        and charge exactly what :meth:`charge_idle` charges per cycle.
+        The default, ``now``, keeps the per-cycle behaviour: a
+        scheduler opts in by overriding both methods.
+        """
+        return now
+
+    def charge_idle(self, cycles: int) -> None:
+        """Charge ``cycles`` repeated idle selects in bulk: the energy
+        events and counters that many ``select`` calls would have
+        charged, and any per-cycle state they would have advanced."""
 
     # -- recovery ------------------------------------------------------
     def flush_from(self, seq: int) -> None:

@@ -14,7 +14,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..core.ifop import InFlightOp
-from .base import SchedulerBase
+from .base import NEVER, SchedulerBase
 
 
 #: select-order sort keys: age (oldest-first) or slot position
@@ -104,6 +104,16 @@ class OutOfOrderScheduler(SchedulerBase):
         if event_driven:
             self._ready_ops = leftover
         return issued
+
+    def idle_horizon(self, now: int) -> int:
+        # an idle select issued nothing: every ready entry lost its port
+        # to a busy FU, and with nothing issuing, readiness changes only
+        # at a completion event — both bounded by the pipeline
+        return NEVER
+
+    def charge_idle(self, cycles: int) -> None:
+        if self._count:
+            self.energy["select_input"] += self._count * cycles
 
     def _remove(self, ifop: InFlightOp) -> None:
         slot = ifop.iq_index

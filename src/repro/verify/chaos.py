@@ -56,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import CoreConfig, config_for
 from ..core.pipeline import Pipeline
+from ..sched.base import NEVER
 from ..workloads.suite import SMOKE_NAMES, SUITE_NAMES, get_trace
 
 #: Environment variable carrying the encoded :class:`ChaosSpec`.
@@ -148,6 +149,14 @@ class WedgedScheduler:
 
     def select(self, cycle: int):
         return []
+
+    # Defined here, not forwarded: the wrapped window's idle-cycle
+    # protocol would bulk-charge counters this select never charges.
+    def idle_horizon(self, now: int) -> int:
+        return NEVER  # it never acts: skip to the watchdog
+
+    def charge_idle(self, cycles: int) -> None:
+        pass
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

@@ -19,7 +19,9 @@ On top of the differential checks, each timing run executes with the
 per-cycle invariant checker enabled (see
 :mod:`repro.verify.invariants`) and a stall-attribution engine attached,
 so bookkeeping violations surface even when the architectural results
-happen to match.
+happen to match.  Those attachments make the pipeline step every cycle,
+so each config also runs once plain — where it skips idle cycles — and
+its result must equal the checked run's field for field.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import FIG11_ARCHES, config_for
 from ..core.observe import Observer
-from ..core.pipeline import Pipeline, SimulationDeadlock
+from ..core.pipeline import Pipeline, SimulationDeadlock, simulate
 from ..isa.instruction import DynOp
 from ..isa.registers import NUM_ARCH_REGS, ZERO, reg_name
 from ..telemetry.attribution import StallAttribution
@@ -53,7 +55,9 @@ class Failure:
     """One oracle failure for one (program, arch) cell."""
 
     arch: str
-    kind: str  # commit_stream | arch_state | invariant | deadlock | crash
+    #: commit_stream | arch_state | invariant | deadlock | crash |
+    #: skip_divergence
+    kind: str
     detail: str
 
     def __str__(self) -> str:
@@ -220,9 +224,10 @@ def check_arch(
 ) -> Optional[Failure]:
     """Run one scheduler config against the reference; None when clean."""
     commits = CommitLog(trace)
+    config = config_for(arch, width)
     pipe = Pipeline(
         trace,
-        config_for(arch, width),
+        config,
         check_invariants=check_invariants,
         observers=[commits, StallAttribution()],
     )
@@ -258,6 +263,45 @@ def check_arch(
     diff = _diff_state(ref_regs, ref_mem, got_regs, got_mem)
     if diff is not None:
         return Failure(arch=arch, kind="arch_state", detail=diff)
+    return _check_skipping(trace, config, arch, result, max_cycles)
+
+
+#: SimStats fields only the stall-attribution observer fills
+_OBSERVED_FIELDS = ("stall_cycles", "occupancy")
+
+
+def _check_skipping(trace, config, arch: str, checked,
+                    max_cycles: int) -> Optional[Failure]:
+    """A plain run (which skips idle cycles) must equal the per-cycle
+    checked run, apart from the fields its observers filled."""
+    try:
+        plain = simulate(trace, config, max_cycles=max_cycles)
+    except Exception as exc:  # noqa: BLE001 - the checked run finished
+        return Failure(
+            arch=arch, kind="skip_divergence",
+            detail=f"plain run raised {type(exc).__name__}: {exc}",
+        )
+    want, got = checked.to_dict(), plain.to_dict()
+    for name in _OBSERVED_FIELDS:
+        del want["stats"][name], got["stats"][name]
+    path = _first_difference(want, got)
+    if path is None:
+        return None
+    return Failure(arch=arch, kind="skip_divergence", detail=path)
+
+
+def _first_difference(want, got, path: str = "result") -> Optional[str]:
+    """Where two ``to_dict`` trees first differ, or None when equal."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got), key=str):
+            if key not in want or key not in got:
+                return f"{path}.{key}: present in one run only"
+            found = _first_difference(want[key], got[key], f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if want != got:
+        return f"{path}: per-cycle run {want!r}, skipping run {got!r}"
     return None
 
 

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.core.config import config_for
+from repro.core.observe import Observer
 from repro.core.pipeline import DeadlockError, Pipeline, SimulationDeadlock
 from repro.sched import create_scheduler
 from repro.telemetry import render_snapshot
@@ -16,7 +17,8 @@ from repro.workloads.suite import get_trace
 OPS = 400
 
 
-def _wedged_pipeline(arch="ballerino", deadlock_cycles=2_000):
+def _wedged_pipeline(arch="ballerino", deadlock_cycles=2_000,
+                     observers=()):
     cfg = dataclasses.replace(
         config_for(arch), deadlock_cycles=deadlock_cycles
     )
@@ -24,6 +26,7 @@ def _wedged_pipeline(arch="ballerino", deadlock_cycles=2_000):
     return Pipeline(
         trace, cfg,
         scheduler_factory=lambda core: WedgedScheduler(create_scheduler(core)),
+        observers=observers,
     )
 
 
@@ -120,3 +123,50 @@ def test_healthy_run_unaffected_by_watchdog():
     trace = get_trace("histogram", OPS, 7)
     result = Pipeline(trace, cfg).run()
     assert result.stats.committed == OPS
+
+
+def _wedge(arch, observed, deadlock_cycles=2_000, max_cycles=50_000_000):
+    """Run a wedged pipeline to its DeadlockError: (cycle, error, pipe).
+
+    ``observed`` attaches a no-op :class:`Observer`, which makes the
+    pipeline step every cycle instead of skipping idle ones.
+    """
+    pipe = _wedged_pipeline(arch, deadlock_cycles,
+                            observers=[Observer()] if observed else ())
+    with pytest.raises(DeadlockError) as excinfo:
+        pipe.run(max_cycles=max_cycles)
+    return pipe.cycle, excinfo.value, pipe
+
+
+@pytest.mark.parametrize("arch", ["ooo", "ballerino"])
+@pytest.mark.parametrize("deadlock_cycles,max_cycles,reason", [
+    (2_000, 50_000_000, "no commit since cycle"),
+    (0, 3_000, "max_cycles (3000) exceeded"),
+])
+def test_idle_skipping_trips_at_the_per_cycle_cycle(
+        arch, deadlock_cycles, max_cycles, reason):
+    """A skipping run fires the watchdog (or the ceiling) at the same
+    cycle, with the same message and snapshot, as a per-cycle run."""
+    skipped = _wedge(arch, False, deadlock_cycles, max_cycles)
+    stepped = _wedge(arch, True, deadlock_cycles, max_cycles)
+    assert skipped[0] == stepped[0]
+    assert str(skipped[1]) == str(stepped[1])
+    assert reason in str(skipped[1])
+    assert skipped[1].snapshot == stepped[1].snapshot
+    # the wedged select charged nothing, so neither did the skips
+    assert skipped[2].energy == stepped[2].energy
+    assert (skipped[2].scheduler.extra_stats()
+            == stepped[2].scheduler.extra_stats())
+
+
+def test_wedged_scheduler_keeps_the_idle_protocol_to_itself():
+    """The wrapper must not forward the wrapped window's bulk charge."""
+    pipe = _wedged_pipeline("ooo")
+    pipe.begin()
+    for _ in range(50):
+        pipe.step()
+    wedged = pipe.scheduler
+    assert wedged.inner.occupancy() > 0  # a forwarded charge would count
+    before = dict(pipe.energy)
+    wedged.charge_idle(1_000)
+    assert dict(pipe.energy) == before
